@@ -20,10 +20,6 @@ def freeze(rows: Iterable[Sequence]) -> tuple:
     return tuple(tuple(row) for row in rows)
 
 
-def identity(n: int) -> IntMatrix:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
 def transpose(m: Sequence[Sequence]) -> tuple:
     return tuple(zip(*[tuple(r) for r in m])) if m else ()
 

@@ -198,7 +198,8 @@ def _check_minus_two_curve(fx: dict, rec: _Recorder, seed: int) -> None:
         rec.true(f"orbit-of-second-root[{tag}]", wl.same_orbit(ctx.ambient, D, other))
 
 
-def _chamber_case(case: dict, rec: _Recorder, tag: str, certified: bool) -> None:
+def _chamber_case(case: dict, rec: _Recorder, tag: str, certified: bool):
+    """Check one frozen chamber; return its Picard data and support report."""
     ctx, P = _picard_setup(case)
     types = wl.certified_wall_types(ctx) if certified else wl.enumerate_wall_types(ctx)
     bound = case.get("bound", 12)
@@ -213,7 +214,7 @@ def _chamber_case(case: dict, rec: _Recorder, tag: str, certified: bool) -> None
     for w in rep.walls:
         want = cert_by_D.get(tuple(w.D.coords))
         rec.add(f"certificate[{tag}][D={w.D.coords}]", want, w.certificate)
-    rays = cg.extremal_rays(P, omega, types, search_bound=bound)
+    rays = cg.extremal_rays(rep)
     expected_rays = {
         (tuple(parse_frac(c) for c in r["coords"]), parse_frac(r["square"]))
         for r in case["rays"]
@@ -232,6 +233,7 @@ def _chamber_case(case: dict, rec: _Recorder, tag: str, certified: bool) -> None
             for i in range(P.pic.rank)
         )
         rec.true(f"certificate-sum-in-dual-cone[{tag}]", cg.in_dual_cone(P, rep.walls, interior))
+    return P, rep
 
 
 def _check_p2(fx: dict, rec: _Recorder, seed: int) -> None:
@@ -263,7 +265,7 @@ def _check_p2(fx: dict, rec: _Recorder, seed: int) -> None:
         for j in range(23)
     ))
 
-    _chamber_case(case, rec, "chamber", certified=False)
+    _, rep = _chamber_case(case, rec, "chamber", certified=False)
 
     omega = P.omega_ref
     alpha = tuple(Fraction(c) for c in omega)
@@ -296,7 +298,6 @@ def _check_p2(fx: dict, rec: _Recorder, seed: int) -> None:
             and tuple(named.D.coords) in {(0, 1), (0, -1)},
         )
 
-    rep = cg.supporting_walls_report(P, omega, wl.enumerate_wall_types(ctx), search_bound=12)
     rec.add("boundary-class-dual-cone", False, cg.in_dual_cone(P, rep.walls, tuple(fx["h_in_pic"])))
     rec.true("reference-is-positive", cg.is_positive_class(P, omega))
     rec.add("negated-reference-positive", False, cg.is_positive_class(P, tuple(-c for c in omega)))
@@ -376,11 +377,12 @@ def _check_n4_div2(fx: dict, rec: _Recorder, seed: int) -> None:
 
 
 def _check_bm2_nef(fx: dict, rec: _Recorder, seed: int) -> None:
+    checked = {}
     for case in fx["chambers"]:
         n = case["n"]
         d = fx["d"]
         tag = f"d={d},n={n}"
-        _chamber_case(case, rec, tag, certified=case["certified"])
+        checked[n] = _chamber_case(case, rec, tag, certified=case["certified"])
         # The certificates are the nef-cone edges: H itself and
         # (d+n) H - 2d delta (proportional to H - 2d/(d+n) delta).
         edges = {tuple(w["certificate"]) for w in case["supporting"]}
@@ -394,8 +396,8 @@ def _check_bm2_nef(fx: dict, rec: _Recorder, seed: int) -> None:
     dropped = {(t.square, t.div) for t in candidates} - {(t.square, t.div) for t in certified}
     rec.add("uncertified-candidates", {tuple(x) for x in neg["dropped_types"]}, dropped)
 
-    case = [c for c in fx["chambers"] if c["n"] == n][0]
-    _, P = _picard_setup(case)
+    # the chamber at the negative control's n uses the certified types
+    P, rep = checked[n]
     Rp = tuple(neg["ray_class"])
     sq = P.pic.norm(Rp)
     img = P.embed.apply(Rp)
@@ -418,15 +420,13 @@ def _check_bm2_nef(fx: dict, rec: _Recorder, seed: int) -> None:
     rec.true("stray-class-exists-in-lattice", exists)
     rec.add("stray-class-wall-test", None, wl.wall_test(ctx, witness_class))
 
-    types = certified
-    rep = cg.supporting_walls_report(P, P.omega_ref, types, search_bound=case.get("bound", 12))
     rec.add(
         "stray-type-among-supporting",
         False,
         any(w.wall_type.square == sq and w.wall_type.div == dv for w in rep.walls),
     )
     rec.add("stray-ray-in-dual-cone", False, cg.in_dual_cone(P, rep.walls, Rp))
-    rays = cg.extremal_rays(P, P.omega_ref, types, search_bound=case.get("bound", 12))
+    rays = cg.extremal_rays(rep)
     r1, r2 = rays[0].coords, rays[1].coords
     det = r1[0] * r2[1] - r1[1] * r2[0]
     a = (Fraction(Rp[0]) * r2[1] - Fraction(Rp[1]) * r2[0]) / det

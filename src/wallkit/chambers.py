@@ -159,6 +159,11 @@ def _primitive_int(vec) -> tuple[int, ...]:
     return tuple(c // g for c in ints)
 
 
+def _toward(P: PicardData, x, omega) -> tuple:
+    """x or -x, whichever pairs nonnegatively with omega."""
+    return tuple(-c for c in x) if _pair(P, x, omega) < 0 else tuple(x)
+
+
 def _type_lookup(types) -> dict[int, dict[int, WallType]]:
     out: dict[int, dict[int, WallType]] = {}
     for t in types:
@@ -236,11 +241,8 @@ def walls_between(P: PicardData, alpha, beta, types, max_cells=None) -> list[Wal
     _segment_candidates(P, a, b, max_abs_square, lookup, budget, pool, 0)
     hits = []
     for x, t in pool.items():
-        pa = _pair(P, x, a)
-        if pa < 0:
-            x = tuple(-c for c in x)
-            pa = -pa
-        if pa > 0 and _pair(P, x, b) < 0:
+        x = _toward(P, x, a)
+        if _pair(P, x, a) > 0 and _pair(P, x, b) < 0:
             hits.append((x, t))
     return [Wall(D=P.pic.vector(x), wall_type=t) for x, t in sorted(hits)]
 
@@ -525,16 +527,7 @@ def _box_candidates(P: PicardData, omega, lookup, bound, budget):
         t = _match_type(P, x, lookup)
         if t is None:
             continue
-        pw = _pair(P, x, omega)
-        if pw < 0:
-            x = tuple(-c for c in x)
-        elif pw == 0:
-            raise OnWallError(
-                f"reference class lies on the wall D={x} of type "
-                f"(square {t.square}, div {t.div})",
-                wall=Wall(D=P.pic.vector(x), wall_type=t),
-            )
-        out[x] = t
+        out[_toward(P, x, omega)] = t
     return out
 
 
@@ -555,16 +548,13 @@ def _split_isotropic(P: PicardData, omega):
             _primitive_int((Fraction(-b + r), Fraction(a))),
             _primitive_int((Fraction(-b - r), Fraction(a))),
         ]
-    out = []
-    for u in dirs:
-        pu = _pair(P, u, omega)
-        if pu == 0:
-            raise InputError("internal: isotropic class orthogonal to omega")
-        out.append(tuple(-x for x in u) if pu < 0 else u)
-    e = P.pic.inner(out[0], out[1])
+    if any(_pair(P, u, omega) == 0 for u in dirs):
+        raise InputError("internal: isotropic class orthogonal to omega")
+    up, um = (_toward(P, u, omega) for u in dirs)
+    e = P.pic.inner(up, um)
     if e <= 0:
         raise InputError("internal: isotropic pairing must be positive")
-    return out[0], out[1], e
+    return up, um, e
 
 
 def _divisors(n: int) -> list[int]:
@@ -606,26 +596,14 @@ def _split_candidates(P: PicardData, omega, lookup, split):
                 t = _match_type(P, x, lookup)
                 if t is None:
                     continue
-                pw = _pair(P, x, omega)
-                if pw < 0:
-                    x = tuple(-c for c in x)
-                elif pw == 0:
-                    raise OnWallError(
-                        f"reference class lies on the wall D={x} of type "
-                        f"(square {t.square}, div {t.div})",
-                        wall=Wall(D=P.pic.vector(x), wall_type=t),
-                    )
-                out[x] = t
+                out[_toward(P, x, omega)] = t
     return out
 
 
 def _perp_ray_rank2(P: PicardData, coords, omega):
     """Primitive generator of D-perp in a rank-2 pic, oriented to omega."""
     g = la.mat_vec(P.pic.gram, coords)
-    x0 = _primitive_int((Fraction(-g[1]), Fraction(g[0])))
-    if _pair(P, x0, omega) < 0:
-        x0 = tuple(-c for c in x0)
-    return x0
+    return _toward(P, _primitive_int((Fraction(-g[1]), Fraction(g[0]))), omega)
 
 
 def _mu(P: PicardData, x0, omega) -> Fraction:
@@ -660,14 +638,8 @@ def _support_rank2(P, omega, lookup, bound, budget):
                 if gcd(*x) != 1 or x in cands:
                     continue
                 t = _match_type(P, x, lookup)
-                if t is None:
-                    continue
-                pw = _pair(P, x, omega)
-                if pw < 0:
-                    x = tuple(-c for c in x)
-                if tuple(x) in cands:
-                    continue
-                cands[tuple(x)] = t
+                if t is not None:
+                    cands.setdefault(_toward(P, x, omega), t)
             exact = both
     walls = []
     for x in sorted(cands):
@@ -788,19 +760,20 @@ def supporting_walls(
     )
 
 
-def extremal_rays(
-    P: PicardData, omega, types, search_bound: int = 12, max_cells=None
-) -> list[ExtremalRay]:
-    """Dual rays D / div(D) of the supporting walls of omega's chamber."""
-    report = supporting_walls_report(P, omega, types, search_bound, max_cells)
-    out = []
-    for w in report.walls:
-        d = P.div_of(w.D.coords)
-        coords = tuple(Fraction(c, d) for c in w.D.coords)
-        out.append(
-            ExtremalRay(coords=coords, square=Fraction(w.D.norm(), d * d), wall=w)
+def extremal_rays(report: SupportResult) -> list[ExtremalRay]:
+    """Dual rays D / div(D) of a report's supporting walls.
+
+    Each ray is read off its wall's type: the report matched `div` to the
+    ambient divisibility of D, so no lattice work is repeated here.
+    """
+    return [
+        ExtremalRay(
+            coords=tuple(Fraction(c, w.wall_type.div) for c in w.D.coords),
+            square=w.wall_type.ray_square,
+            wall=w,
         )
-    return out
+        for w in report.walls
+    ]
 
 
 def in_dual_cone(P: PicardData, walls, x, omega=None) -> bool:

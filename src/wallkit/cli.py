@@ -1,12 +1,18 @@
 """Command-line interface.
 
-Subcommands
------------
+Subcommands and the flags each one reads
+----------------------------------------
 tabulate   wall-type rows for one n (json / csv / table)
+           --n, --format, --certified, --quiet
 wall-test  decide whether a class or a (square, div) type supports a wall
+           --n, --format, --input, --quiet
 orbit      compare two primitive classes under the isometry group of L_n
+           --n, --format, --input, --quiet
 chamber    supporting walls, certificates, and dual rays for a Picard query
+           --format, --input, --quiet; the search bound is the query's
+           optional "bound" key (default 12)
 verify     recompute every shipped fixture and emit a report
+           --format (json / junit / table), --fixture, --seed
 
 Exit codes: 0 success / detected / same orbit / all fixtures pass;
 1 not detected / different orbit / fixture failures; 2 bad input,
@@ -22,7 +28,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import catalog, chambers as cg, formats as fmt, walls as wl
 from .errors import (
@@ -44,6 +49,19 @@ EXIT_ERROR = 2
 EXIT_ON_WALL = 3
 
 
+_FLAGS = {
+    "--n": dict(type=int, required=True, help="family parameter, n >= 2"),
+    "--input": dict(help="inline JSON or a path to a JSON file (command-specific payload)"),
+    "--quiet": dict(action="store_true", help="suppress notes; keep machine output"),
+    "--certified": dict(
+        action="store_true",
+        help="restrict to types carrying a verified wall certificate",
+    ),
+    "--fixture": dict(help="verify a single fixture by name"),
+    "--seed": dict(type=int, default=0, help="seed for randomized checks (default: 0)"),
+}
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="wallkit",
@@ -51,45 +69,28 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_n=True, formats=("json", "csv", "table")):
-        if with_n:
-            sp.add_argument("--n", type=int, required=True, help="family parameter, n >= 2")
+    def command(name, summary, *flags, formats=("json", "csv", "table")):
+        sp = sub.add_parser(name, help=summary)
         sp.add_argument(
             "--format",
             choices=formats,
             default="table",
             help="output format (default: table)",
         )
-        sp.add_argument(
-            "--bound", type=int, default=12, help="search height bound (default: 12)"
-        )
-        sp.add_argument(
-            "--seed", type=int, default=0, help="seed for randomized checks (default: 0)"
-        )
-        sp.add_argument(
-            "--input",
-            help="inline JSON or a path to a JSON file (command-specific payload)",
-        )
-        sp.add_argument(
-            "--quiet", action="store_true", help="suppress notes; keep machine output"
-        )
-        return sp
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
 
-    sp = common(sub.add_parser("tabulate", help="list wall types for one n"))
-    sp.add_argument(
-        "--certified",
-        action="store_true",
-        help="restrict to types carrying a verified wall certificate",
-    )
-    common(sub.add_parser("wall-test", help="test a class or a (square, div) type"))
-    common(sub.add_parser("orbit", help="compare two primitive classes in L_n"))
-    common(sub.add_parser("chamber", help="chamber report for a Picard query"), with_n=False)
-    sp = common(
-        sub.add_parser("verify", help="recompute the shipped fixtures"),
-        with_n=False,
+    command("tabulate", "list wall types for one n", "--n", "--certified", "--quiet")
+    command("wall-test", "test a class or a (square, div) type", "--n", "--input", "--quiet")
+    command("orbit", "compare two primitive classes in L_n", "--n", "--input", "--quiet")
+    command("chamber", "chamber report for a Picard query", "--input", "--quiet")
+    command(
+        "verify",
+        "recompute the shipped fixtures",
+        "--fixture",
+        "--seed",
         formats=("json", "junit", "table"),
     )
-    sp.add_argument("--fixture", help="verify a single fixture by name")
     return p
 
 
@@ -222,14 +223,15 @@ def cmd_chamber(args) -> int:
     query = fmt.parse_chamber_query(_need_input(args))
     P: cg.PicardData = query["P"]
     ctx = P.ctx
-    bound = query.get("bound", args.bound)
     types = wl.certified_wall_types(ctx)
     omega = query["omega"]
 
-    support = cg.supporting_walls_report(P, omega, types, search_bound=bound)
-    rays = cg.extremal_rays(P, omega, types, search_bound=bound)
+    support = cg.supporting_walls_report(
+        P, omega, types, search_bound=query.get("bound", 12)
+    )
+    rays = cg.extremal_rays(support)
     crossed = None
-    if query["alpha"] is not None and query["beta"] is not None:
+    if query["alpha"] is not None:
         crossed = cg.walls_between(P, query["alpha"], query["beta"], types)
 
     report = fmt.chamber_report_to_json(omega, support, rays, walls_crossed=crossed)

@@ -203,15 +203,17 @@ def chamber_report_to_json(
 def parse_chamber_query(obj) -> dict:
     """Decode a chamber query into ready-to-use objects.
 
-    Expected keys: n, pic_gram, embed, omega; optional: alpha, beta, bound,
-    label.  Returns {"P": PicardData, "omega": ..., "alpha": ..., "beta":
-    ..., "bound": ...} with rational coordinate tuples.
+    Expected keys: n, pic_gram, embed, omega; optional: alpha and beta
+    (together), bound, label.  Returns {"P": PicardData, "omega": ...,
+    "alpha": ..., "beta": ..., "bound": ...} with rational coordinate tuples.
     """
     if not isinstance(obj, dict):
         raise InputError("chamber query must be a JSON object")
     missing = [k for k in ("n", "pic_gram", "embed", "omega") if k not in obj]
     if missing:
         raise InputError(f"chamber query missing keys: {', '.join(missing)}")
+    if ("alpha" in obj) != ("beta" in obj):
+        raise InputError("chamber query needs both alpha and beta, or neither")
     n = _int(obj["n"])
     if n < 2:
         raise InputError("n must be >= 2")

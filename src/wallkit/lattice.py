@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 from . import _linalg as la
@@ -21,14 +21,12 @@ __all__ = [
     "LatticeVector",
     "Embedding",
     "DiscriminantGroup",
-    "inner",
     "direct_sum",
     "standard_lattice",
     "smith_normal_form",
     "discriminant_group",
     "divisibility",
     "is_primitive",
-    "primitive_part",
     "disc_class",
     "orthogonal_complement",
     "saturation",
@@ -142,9 +140,6 @@ class LatticeVector:
     def __sub__(self, other: "LatticeVector") -> "LatticeVector":
         return self + (-other)
 
-    def scaled(self, k: int) -> "LatticeVector":
-        return LatticeVector(self.lattice, tuple(k * c for c in self.coords))
-
 
 @dataclass(frozen=True)
 class Embedding:
@@ -175,9 +170,6 @@ class Embedding:
         coords = v.coords if isinstance(v, LatticeVector) else tuple(v)
         return LatticeVector(self.target, la.mat_vec(self.matrix, coords))
 
-    def apply_rational(self, v: Sequence) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x) for x in la.mat_vec(self.matrix, tuple(v)))
-
     def is_primitive(self) -> bool:
         """True when the image is a saturated (primitive) sublattice."""
         diag = la.snf_diagonal(self.matrix)
@@ -187,10 +179,6 @@ class Embedding:
         coords = v.coords if isinstance(v, LatticeVector) else tuple(v)
         sol = la.solve_int(self.matrix, coords)
         return None if sol is None else LatticeVector(self.source, sol)
-
-
-def inner(lattice: IntegerLattice, x: Sequence, y: Sequence):
-    return lattice.inner(x, y)
 
 
 def signature(lattice: IntegerLattice) -> tuple[int, int]:
@@ -278,14 +266,6 @@ def is_primitive(lattice: IntegerLattice, v: Sequence[int]) -> bool:
     return any(coords) and gcd(*coords) == 1
 
 
-def primitive_part(lattice: IntegerLattice, v: Sequence[int]) -> LatticeVector:
-    coords = v.coords if isinstance(v, LatticeVector) else tuple(int(x) for x in v)
-    if not any(coords):
-        raise InputError("primitive part of the zero vector is undefined")
-    c = gcd(*coords)
-    return LatticeVector(lattice, tuple(x // c for x in coords))
-
-
 @dataclass(frozen=True)
 class DiscriminantGroup:
     """The finite quadratic form (A_L = L^dual / L, q, b).
@@ -324,23 +304,6 @@ class DiscriminantGroup:
         x = self._rational_rep(exponents)
         val = la.vec_mat_vec(x, self.lattice.gram, x)
         return Fraction(val) % 2
-
-    def b(self, e1: Sequence[int], e2: Sequence[int]) -> Fraction:
-        x = self._rational_rep(e1)
-        y = self._rational_rep(e2)
-        val = la.vec_mat_vec(x, self.lattice.gram, y)
-        return Fraction(val) % 1
-
-    def element_order(self, exponents: Sequence[int]) -> int:
-        if len(exponents) != len(self.invariant_factors):
-            raise InputError("exponent tuple has wrong length")
-        out = 1
-        for e, d in zip(exponents, self.invariant_factors):
-            out = lcm(out, d // gcd(d, e % d))
-        return out
-
-    def reduce(self, exponents: Sequence[int]) -> tuple[int, ...]:
-        return tuple(e % d for e, d in zip(exponents, self.invariant_factors))
 
     def class_of(self, v: Sequence[int], m: int) -> tuple[int, ...]:
         """Exponent tuple of [v/m] in A_L; InputError if v/m is not dual."""

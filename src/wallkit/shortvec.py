@@ -18,7 +18,6 @@ from .lattice import IntegerLattice, LatticeVector
 
 __all__ = [
     "short_vectors",
-    "vectors_up_to",
     "enumerate_quadratic_leq",
     "CellBudget",
     "DEFAULT_MAX_CELLS",
@@ -169,19 +168,3 @@ def short_vectors(
     hits.sort()
     return [LatticeVector(lattice, c) for c in hits]
 
-
-def vectors_up_to(
-    lattice: IntegerLattice,
-    bound: int,
-    max_cells: int | None = None,
-) -> list[LatticeVector]:
-    """All nonzero v with |v^2| <= bound in a definite lattice, sorted."""
-    if lattice.rank == 0 or bound < 0:
-        return []
-    sign = _definite_sign(lattice)
-    gram = lattice.gram if sign > 0 else tuple(
-        tuple(-x for x in row) for row in lattice.gram
-    )
-    budget = CellBudget(max_cells)
-    hits = sorted(enumerate_quadratic_leq(gram, bound, budget))
-    return [LatticeVector(lattice, c) for c in hits]

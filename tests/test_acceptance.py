@@ -208,7 +208,7 @@ def test_acceptance_5_ht_bound_over_random_queries(capsys):
                 if P.pic.norm(omega) <= 0 or omega[0] <= 0:
                     continue
                 try:
-                    rays = extremal_rays(P, omega, types)
+                    rays = extremal_rays(supporting_walls_report(P, omega, types))
                 except OnWallError:
                     continue
                 break
@@ -353,7 +353,7 @@ def test_acceptance_8_golden_chamber(capsys):
         }
         assert walls == {((0, 1), -2, 2), ((2, -3), -10, 2)}
         assert report.exact is True
-        rays = extremal_rays(P, (2, -1), types)
+        rays = extremal_rays(report)
         assert {r.square for r in rays} == {Fraction(-1, 2), Fraction(-5, 2)}
         info["msg"] = (
             "chamber of 2H - delta at n=2 is cut by the tail wall and "

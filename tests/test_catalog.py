@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from wallkit import InputError
+from wallkit import chambers
 from wallkit.catalog import (
     FIXTURE_ORDER,
     list_fixtures,
@@ -68,6 +69,21 @@ class TestVerification:
         r = verify_fixture(name)
         assert r.fixture == name
         assert r.passed
+
+    # p2: its one chamber plus the on-wall probe; bm2_nef: its two chambers,
+    # the negative control reusing the n=5 report
+    @pytest.mark.parametrize("name,searches", [("p2", 2), ("bm2_nef", 2)])
+    def test_one_support_search_per_chamber(self, monkeypatch, name, searches):
+        calls = []
+        search = chambers.supporting_walls_report
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(chambers, "supporting_walls_report", counting)
+        assert verify_fixture(name).passed
+        assert len(calls) == searches
 
 
 @pytest.fixture(scope="module")

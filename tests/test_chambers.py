@@ -136,13 +136,16 @@ class TestGoldenChambers:
         g = GOLDEN[name]
         P = g["data"]()
         types = g["types"](P.ctx)
-        rays = extremal_rays(P, P.omega_ref, types)
+        rep = supporting_walls_report(P, P.omega_ref, types)
+        rays = extremal_rays(rep)
+        assert [r.wall for r in rays] == list(rep.walls)
         assert {(r.coords, r.square) for r in rays} == g["rays"]
         for r in rays:
             assert ht_bound_ok(P.ctx.n, r.square)
             # the ray is the wall class divided by its ambient divisibility
             d = P.div_of(r.wall.D.coords)
             assert r.coords == tuple(Fraction(c, d) for c in r.wall.D.coords)
+            assert r.square == Fraction(r.wall.D.norm(), d * d)
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_reference_strictly_inside(self, name):
@@ -162,7 +165,7 @@ class TestRankEdges:
         rep = supporting_walls_report(P, (1,), enumerate_wall_types(P.ctx))
         assert rep.walls == ()
         assert rep.exact is True
-        assert extremal_rays(P, (1,), enumerate_wall_types(P.ctx)) == []
+        assert extremal_rays(rep) == []
 
     def test_rank1_negative_rejected(self):
         with pytest.raises(InputError):

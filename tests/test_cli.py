@@ -6,10 +6,13 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
-from wallkit import cli
+from wallkit import chambers, cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 N3_CSV = "r2,D2,div\n-2,-2,1\n-1,-4,2\n-3,-12,2\n-1/4,-4,4\n-9/4,-36,4\n"
 
@@ -43,6 +46,42 @@ RK3_QUERY = lambda omega=(5, 3, 1), **extra: chamber_query(
     list(omega),
     **extra,
 )
+
+
+# -------------------------------------------------------------------- flags
+
+TAIL_CLASS = json.dumps({"coords": ambient_coords({22: 1})})
+ROOT_PAIR = json.dumps(
+    {"v": ambient_coords({0: 1, 1: -1}), "w": ambient_coords({2: 1, 3: -1})}
+)
+
+
+class TestFlags:
+    """Each subcommand declares only the flags it reads."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tabulate", "--n", "3", "--bound", "5"],
+            ["tabulate", "--n", "3", "--seed", "1"],
+            ["tabulate", "--n", "3", "--input", "{}"],
+            ["wall-test", "--n", "3", "--input", TAIL_CLASS, "--bound", "5"],
+            ["wall-test", "--n", "3", "--input", TAIL_CLASS, "--seed", "1"],
+            ["orbit", "--n", "2", "--input", ROOT_PAIR, "--bound", "5"],
+            ["orbit", "--n", "2", "--input", ROOT_PAIR, "--seed", "1"],
+            ["chamber", "--input", P2_QUERY(), "--seed", "1"],
+            ["chamber", "--input", P2_QUERY(), "--bound", "5"],
+            ["verify", "--fixture", "delta", "--bound", "5"],
+            ["verify", "--fixture", "delta", "--input", "{}"],
+            ["verify", "--fixture", "delta", "--quiet"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2] if argv[-1] != '--quiet' else ''}{argv[-1]}",
+    )
+    def test_removed_flag_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- tabulate
@@ -284,6 +323,42 @@ class TestChamber:
         code, _, err = run(capsys, "chamber", "--input", '{"n": 2}')
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "end", [{"alpha": [2, -1]}, {"beta": [2, 1]}], ids=["alpha", "beta"]
+    )
+    def test_half_segment_rejected(self, capsys, end):
+        code, out, err = run(capsys, "chamber", "--input", P2_QUERY(**end))
+        assert code == 2
+        assert out == ""
+        assert "both alpha and beta" in err
+
+    @pytest.mark.parametrize(
+        "query",
+        [P2_QUERY(), P2_QUERY(alpha=[2, -1], beta=[2, 1])],
+        ids=["reference", "segment"],
+    )
+    def test_one_support_search_per_run(self, capsys, monkeypatch, query):
+        calls = []
+        search = chambers.supporting_walls_report
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(chambers, "supporting_walls_report", counting)
+        code, _, _ = run(capsys, "chamber", "--format", "json", "--input", query)
+        assert code == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    @pytest.mark.parametrize("name", ["p2", "rk3"])
+    def test_golden_stdout(self, capsys, fmt, name):
+        query = {"p2": P2_QUERY, "rk3": RK3_QUERY}[name]()
+        code, out, err = run(capsys, "chamber", "--format", fmt, "--input", query)
+        assert code == 0
+        assert err == ""
+        assert out == (GOLDEN / f"chamber_{name}_{fmt}.txt").read_text(encoding="utf-8")
 
 
 # ------------------------------------------------------------------- verify

@@ -15,7 +15,6 @@ from wallkit import (
     discriminant_group,
     divisibility,
     orthogonal_complement,
-    primitive_part,
     saturation,
     signature,
     standard_lattice,
@@ -84,10 +83,6 @@ class TestVectors:
         root = tuple(1 if i == 0 else (-1 if i == 1 else 0) for i in range(23))
         assert divisibility(L, root) == 1
 
-    def test_primitive_part(self):
-        v = primitive_part(U, (2, 4))
-        assert v.coords == (1, 2)
-
 
 class TestDirectSum:
     def test_gram_blocks(self):
@@ -124,7 +119,6 @@ class TestDiscriminantGroup:
         A = discriminant_group(L)
         assert A.invariant_factors == (6,)
         c = A.class_of((1,), 6)
-        assert A.element_order(c) == 6
         assert A.q(c) == Fraction(-1, 6) % 2
 
     def test_disc_class_of_integral_class_is_zero(self):
@@ -185,10 +179,3 @@ class TestEmbedding:
         bad_src = standard_lattice("rank1", -2)
         with pytest.raises(InputError):
             Embedding(bad_src, L3, rows)
-
-    def test_apply_rational(self):
-        emb = Embedding(U, U, ((1, 0), (0, 1)))
-        assert emb.apply_rational((Fraction(1, 2), Fraction(1, 3))) == (
-            Fraction(1, 2),
-            Fraction(1, 3),
-        )
