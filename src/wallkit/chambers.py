@@ -15,22 +15,24 @@ All questions are reduced to exact finite enumerations:
   form splits off a hyperbolic plane over Q, walls are enumerated exactly
   from divisor pairs instead, with no height cap at all.
 * In rank >= 3 candidates are truncated at the height box (results are
-  labeled inexact), but each candidate is decided exactly: the facet
-  test "does D-perp meet the open chamber?" becomes a sup-of-quadratic
-  question over a polyhedral cone, solved by double description plus
-  stationary-point enumeration over the faces of a compact base.
+  labeled inexact), but each is decided exactly.  One double description
+  of the cone K the candidates cut out keeps those carrying a facet of K;
+  a facet is a wall when it meets omega's component of the positive cone,
+  a sup-of-quadratic question solved on the facet by a second double
+  description plus stationary points of the faces its neighbours in K cut.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
 from . import _linalg as la
-from .errors import ConfigurationError, InputError, OnWallError
+from .errors import ConfigurationError, InputError, InternalError, OnWallError
 from .lattice import (
+    Embedding,
     IntegerLattice,
     LatticeVector,
     divisibility,
@@ -88,9 +90,6 @@ class PicardData:
             if self.pic.norm(om) <= 0:
                 raise InputError("reference class must have positive square")
             object.__setattr__(self, "omega_ref", om)
-
-    def with_reference(self, omega) -> "PicardData":
-        return replace(self, omega_ref=tuple(Fraction(x) for x in omega))
 
     def div_of(self, coords) -> int:
         """Divisibility in L_n (not in pic) of an integral pic class."""
@@ -213,7 +212,7 @@ def walls_between(P: PicardData, alpha, beta, types, max_cells=None) -> list[Wal
     Cauchy-Schwarz transports that to the left endpoint:
     q_a(D) <= |s| (1 + 2 U / a^2) with
     U = -(a-b)^2 + 2 max((a-b, a), (a-b, b))^2 / min_segment gamma(t)^2.
-    The enumeration exhausts that cap (and asserts it per hit).  When the
+    The enumeration exhausts that cap (and checks it per hit).  When the
     cap is disproportionate to the wall squares the segment is bisected
     first -- U shrinks quadratically with the segment -- and candidates
     vanishing anywhere on a closed half are pooled, so a class vanishing
@@ -265,7 +264,8 @@ def _segment_candidates(P, a, b, max_abs_square, lookup, budget, pool, depth):
         tstar = Fraction(-B, 2 * A)
         if 0 < tstar < 1:
             m = min(m, asq - Fraction(B * B, 4 * A))
-    assert m > 0, "segment leaves the positive cone"
+    if m <= 0:
+        raise InternalError("segment leaves the positive cone")
     pmax = max(abs(_pair(P, diff, a)), abs(_pair(P, diff, b)))
     blowup = 1 + 2 * (-A + 2 * pmax * pmax / m) / asq
     if blowup > _SPLIT_FACTOR and depth < _MAX_SPLIT_DEPTH:
@@ -288,7 +288,8 @@ def _segment_candidates(P, a, b, max_abs_square, lookup, budget, pool, depth):
         if t is None:
             continue
         qa = la.vec_mat_vec(x, gram, x)
-        assert qa <= abs(t.square) * blowup, "majorant bound violated"
+        if qa > abs(t.square) * blowup:
+            raise InternalError("majorant bound violated")
         pool[x] = t
 
 
@@ -317,9 +318,7 @@ def _dual_description(constraints, dim, budget: CellBudget):
 
     for a in constraints:
         budget.spend()
-        if all(v == 0 for v in a):
-            seen.append(a)
-            continue
+        seen.append(a)
         l0 = next((l for l in lineality if dot(a, l) != 0), None)
         if l0 is not None:
             if dot(a, l0) < 0:
@@ -334,14 +333,12 @@ def _dual_description(constraints, dim, budget: CellBudget):
                 tuple(x - dot(a, r) / d0 * y for x, y in zip(r, l0)) for r in rays
             ]
             rays.append(l0)
-            seen.append(a)
             continue
         vals = [dot(a, r) for r in rays]
         plus = [r for r, v in zip(rays, vals) if v > 0]
         zero = [r for r, v in zip(rays, vals) if v == 0]
         minus = [r for r, v in zip(rays, vals) if v < 0]
         if not minus:
-            seen.append(a)
             continue
         combos = []
         for rp in plus:
@@ -351,7 +348,6 @@ def _dual_description(constraints, dim, budget: CellBudget):
                 vm = dot(a, rm)
                 comb = tuple(vp * xm - vm * xp for xp, xm in zip(rp, rm))
                 combos.append(comb)
-        seen.append(a)
         lin_rank = len(lineality)
         keep = {}
         for r in plus + zero + combos:
@@ -364,50 +360,60 @@ def _dual_description(constraints, dim, budget: CellBudget):
                 keep[key] = tuple(Fraction(x) for x in key)
         rays = list(keep.values())
     out_rays = sorted(_primitive_int(r) for r in rays)
-    out_lin = sorted(_primitive_int(l) for l in lineality) if lineality else []
+    out_lin = sorted(_primitive_int(l) for l in lineality)
     return out_rays, out_lin
 
 
 # --------------------------------------- sup of a quadratic over a cone > 0?
 
+_MAX_STEPS = 200  # cap on the doubling walk and the certificate pull
 
-def _sup_positive_witness(gram, rays, lineality, constraints, budget: CellBudget):
-    """A rational x in the cone with x^T gram x > 0, or None if sup <= 0.
 
-    The cone is lineality + cone(rays); `constraints` describe it (used
-    only to build a positive functional on the pointed part).  Lineality
-    directions are eliminated one at a time (unbounded direction, radical
-    drop, or Schur complement); the pointed remainder is decided on a
-    compact base polytope via stationary points of all faces.
+def _sup_positive_witness(gram, rays, lineality, phi, facets, toward, budget: CellBudget):
+    """A rational x in the cone with x^T gram x > 0 and toward . x > 0, or None.
+
+    The cone is lineality + cone(rays); `facets` are the rows cutting out
+    its facets, and `toward` is positive on omega's component of the
+    positive cone.  Lineality directions are eliminated one at a time
+    (positive direction, walk along a null one, or Schur complement, which
+    carries `toward` along); the pointed rest is decided on the base
+    polytope phi . x = 1.  In omega's component sqrt(q) is strictly concave
+    (reverse Cauchy-Schwarz), so the maximiser there is unique: the
+    stationary point of q on the span of its face, which a subset of the
+    facet rows cuts out.
     """
 
     def q(x, y=None):
         return la.vec_mat_vec(x, gram, x if y is None else y)
 
-    span = list(rays) + list(lineality)
+    def side(x):
+        return sum(h * Fraction(v) for h, v in zip(toward, x))
+
+    def neg(x):
+        return tuple(-c for c in x)
+
     if lineality:
-        l = lineality[0]
-        rest = lineality[1:]
+        l, *rest = lineality
+        if side(l) < 0:
+            l = neg(l)
         ql = q(l)
         if ql > 0:
             return tuple(Fraction(x) for x in l)
         if ql == 0:
-            partner = next((y for y in span if y != l and q(l, y) != 0), None)
-            if partner is not None:
-                # x = y + t l is unbounded in q; walk t until positive
-                t = Fraction(1)
-                sign = 1 if q(l, partner) > 0 else -1
-                for _ in range(200):
-                    x = tuple(
-                        Fraction(a) + sign * t * Fraction(b)
-                        for a, b in zip(partner, l)
-                    )
-                    if q(x) > 0:
-                        return x
-                    t *= 2
-                raise InputError("internal: unbounded direction failed to verify")
-            # l is q-orthogonal to the whole cone: drop it
-            return _sup_positive_witness(gram, rays, rest, constraints, budget)
+            # l is null and points into omega's component, so every cone
+            # point in that component pairs positively with l; walk such a
+            # partner out along l until it is positive
+            pool = [*rays, *lineality, *map(neg, lineality)]
+            partner = next((y for y in pool if q(l, y) > 0), None)
+            if partner is None:
+                return None
+            t = Fraction(1)
+            for _ in range(_MAX_STEPS):
+                x = tuple(Fraction(a) + t * b for a, b in zip(partner, l))
+                if q(x) > 0:
+                    return x
+                t *= 2
+            raise InternalError("unbounded direction failed to verify")
         # ql < 0: optimize the l-component away (Schur complement)
         gl = la.mat_vec(gram, l)
         n = len(l)
@@ -415,55 +421,41 @@ def _sup_positive_witness(gram, rays, lineality, constraints, budget: CellBudget
             tuple(Fraction(gram[i][j]) - gl[i] * gl[j] / ql for j in range(n))
             for i in range(n)
         )
-        sub = _sup_positive_witness(schur, rays, rest, constraints, budget)
+        sub_toward = tuple(h - side(l) / ql * g for h, g in zip(toward, gl))
+        sub = _sup_positive_witness(schur, rays, rest, phi, facets, sub_toward, budget)
         if sub is None:
             return None
         tstar = -q(l, sub) / ql
         return tuple(a + tstar * b for a, b in zip(sub, l))
 
-    if not rays:
-        return None
-    phi = tuple(sum(Fraction(c[i]) for c in constraints) for i in range(len(rays[0])))
-
-    def phival(x):
-        return sum(p * Fraction(xi) for p, xi in zip(phi, x))
-
-    verts = []
+    candidates = []
     for r in rays:
-        pv = phival(r)
+        pv = sum(p * c for p, c in zip(phi, r))
         if pv <= 0:
-            raise InputError("internal: base functional not positive on ray")
-        verts.append(tuple(Fraction(x) / pv for x in r))
-    best = None
-    candidates = list(verts)
-    k = len(constraints)
-    dim = len(phi)
-    for size in range(0, dim):
-        for subset in itertools.combinations(range(k), size):
+            raise InternalError("base functional not positive on ray")
+        candidates.append(tuple(Fraction(c) / pv for c in r))
+    dim = len(gram)
+    for size in range(dim):
+        for subset in itertools.combinations(facets, size):
             budget.spend()
-            rows = [phi] + [constraints[i] for i in subset]
-            rhs = [Fraction(1)] + [Fraction(0)] * size
-            x0 = la.solve_rational(rows, rhs)
+            rows = [phi, *subset]
+            x0 = la.solve_rational(rows, [1] + [0] * size)
             if x0 is None:
                 continue
-            null = la.kernel_basis(
-                [_primitive_int_row(row) for row in rows]
-            )
+            null = la.kernel_basis([_primitive_int(row) for row in rows])
             if null:
                 gn = [[q(ni, nj) for nj in null] for ni in null]
-                rhs2 = [-q(ni, x0) for ni in null]
-                mu = la.solve_rational(gn, rhs2)
+                mu = la.solve_rational(gn, [-q(ni, x0) for ni in null])
                 if mu is None:
                     continue
                 x0 = tuple(
-                    x + sum(m * Fraction(nv[i]) for m, nv in zip(mu, null))
+                    x + sum(m * nv[i] for m, nv in zip(mu, null))
                     for i, x in enumerate(x0)
                 )
             candidates.append(x0)
+    best = None
     for x in candidates:
-        if any(
-            sum(Fraction(c[i]) * x[i] for i in range(len(x))) < 0 for c in constraints
-        ):
+        if side(x) <= 0 or any(sum(c * v for c, v in zip(row, x)) < 0 for row in facets):
             continue
         val = q(x)
         if best is None or val > best[0]:
@@ -471,16 +463,6 @@ def _sup_positive_witness(gram, rays, lineality, constraints, budget: CellBudget
     if best is None or best[0] <= 0:
         return None
     return best[1]
-
-
-def _primitive_int_row(row):
-    fr = [Fraction(x) for x in row]
-    if all(x == 0 for x in fr):
-        return tuple(0 for _ in fr)
-    mult = 1
-    for x in fr:
-        mult = mult * x.denominator // gcd(mult, x.denominator)
-    return tuple(int(x * mult) for x in fr)
 
 
 # ------------------------------------------------------------ wall supports
@@ -549,11 +531,11 @@ def _split_isotropic(P: PicardData, omega):
             _primitive_int((Fraction(-b - r), Fraction(a))),
         ]
     if any(_pair(P, u, omega) == 0 for u in dirs):
-        raise InputError("internal: isotropic class orthogonal to omega")
+        raise InternalError("isotropic class orthogonal to omega")
     up, um = (_toward(P, u, omega) for u in dirs)
     e = P.pic.inner(up, um)
     if e <= 0:
-        raise InputError("internal: isotropic pairing must be positive")
+        raise InternalError("isotropic pairing must be positive")
     return up, um, e
 
 
@@ -653,9 +635,32 @@ def _support_rank2(P, omega, lookup, bound, budget):
 
 
 def _support_general(P, omega, lookup, bound, budget):
+    """Box candidates that carry a facet of omega's chamber, with certificates.
+
+    The candidates y cut out the cone K = {x : (y, x) >= 0 for all y};
+    the on-wall check puts omega in its interior.  Lemma: a certificate c
+    of a candidate x has (x, c) = 0 and (y, c) > 0 for every other
+    candidate y, so c is a relative interior point of K cap x-perp, which
+    is then a facet of K.  One double description of K thus discards every
+    candidate that does not cut a facet.  A facet F = K cap x-perp is
+    decided on x-perp: x is a wall when F meets omega's component of the
+    positive cone, and the certificate comes from the maximiser of x'^2
+    over F's base polytope there.  The faces of F are cut out by the
+    facets of K adjacent to x (sharing a ridge of K with it).
+    """
     cands = _box_candidates(P, omega, lookup, bound, budget)
+    gram = P.pic.gram
+    rank = P.pic.rank
+    order = sorted(cands)
+    rays, lin = _dual_description([la.mat_vec(gram, y) for y in order], rank, budget)
+    incident = {y: {r for r in rays if P.pic.inner(y, r) == 0} for y in order}
+
+    def face_dim(face_rays):
+        return la.rank([*face_rays, *lin])
+
+    facets = [y for y in order if face_dim(incident[y]) == rank - 1]
     walls = []
-    for x in sorted(cands):
+    for x in facets:
         t = cands[x]
         others = [y for y in cands if y != x]
         # fast path: the orthogonal projection of omega often certifies
@@ -670,51 +675,37 @@ def _support_general(P, omega, lookup, bound, budget):
             )
             continue
         # exact facet decision on W = x-perp inside pic
-        basis = la.kernel_basis([la.mat_vec(P.pic.gram, x)])
-        if not basis:
-            continue
+        basis = la.kernel_basis([la.mat_vec(gram, x)])
         bmat = la.transpose(basis)  # pic coords of W basis, as columns
-        gw = la.mat_mul(la.mat_mul(basis, P.pic.gram), la.transpose(basis))
-        cons = []
-        for y in others:
-            gy = la.mat_vec(P.pic.gram, y)
-            cons.append(
-                tuple(sum(g * c for g, c in zip(gy, col)) for col in basis)
-            )
-        rays, lin = _dual_description(cons, len(basis), budget)
-        if not rays and not lin:
-            continue
-        if rays:
-            interior = tuple(sum(Fraction(r[i]) for r in rays) for i in range(len(basis)))
-        else:
-            interior = None
-        if cons and interior is not None:
-            if any(
-                sum(Fraction(c[i]) * interior[i] for i in range(len(interior))) <= 0
-                for c in cons
-            ):
-                continue  # some wall holds with equality on all of K
-        elif cons and interior is None:
-            continue
-        witness = _sup_positive_witness(gw, rays, lin, cons, budget)
+        to_w = la.mat_mul(basis, gram)  # v -> the form (v, .) in W coordinates
+        gw = la.mat_mul(to_w, bmat)
+        cons = [la.mat_vec(to_w, y) for y in others]
+        ridges = [
+            la.mat_vec(to_w, y)
+            for y in facets
+            if y != x and face_dim(incident[x] & incident[y]) == rank - 2
+        ]
+        toward = la.mat_vec(to_w, omega)
+        w_rays, w_lin = _dual_description(cons, len(basis), budget)
+        phi = tuple(sum(Fraction(c[i]) for c in cons) for i in range(len(basis)))
+        witness = _sup_positive_witness(gw, w_rays, w_lin, phi, ridges, toward, budget)
         if witness is None:
             continue
-        # pull toward the interior point to make certificates strict
-        if interior is not None:
-            eps = Fraction(1)
-            while True:
-                xw = tuple(w + eps * i for w, i in zip(witness, interior))
-                if la.vec_mat_vec(xw, gw, xw) > 0:
-                    witness = xw
-                    break
-                eps /= 2
-        cert_pic = tuple(
-            sum(Fraction(bmat[i][j]) * witness[j] for j in range(len(witness)))
-            for i in range(P.pic.rank)
-        )
-        cert = _primitive_int(cert_pic)
-        assert P.pic.inner(cert, x) == 0 and P.pic.norm(cert) > 0
-        assert all(P.pic.inner(y, cert) > 0 for y in others)
+        # pull toward the interior point to make certificates strict,
+        # staying in omega's component
+        interior = tuple(sum(Fraction(r[i]) for r in w_rays) for i in range(len(basis)))
+        eps = Fraction(1)
+        for _ in range(_MAX_STEPS):
+            xw = tuple(w + eps * i for w, i in zip(witness, interior))
+            if la.vec_mat_vec(xw, gw, xw) > 0 and sum(h * v for h, v in zip(toward, xw)) > 0:
+                witness = xw
+                break
+            eps /= 2
+        else:
+            raise InternalError("no strict certificate near the facet witness")
+        cert = _primitive_int(la.mat_vec(bmat, witness))
+        if not all(P.pic.inner(y, cert) > 0 for y in others):
+            raise InternalError(f"certificate {cert} misses a candidate wall")
         walls.append(Wall(D=P.pic.vector(x), wall_type=t, certificate=cert))
     return walls, False
 
@@ -746,9 +737,15 @@ def supporting_walls_report(
     else:
         walls, exact = _support_general(P, om, lookup, search_bound, budget)
     for w in walls:
-        assert w.certificate is not None
-        assert P.pic.inner(w.certificate, w.D.coords) == 0
-        assert P.pic.norm(w.certificate) > 0
+        c = w.certificate
+        if not (
+            c is not None
+            and P.pic.norm(c) > 0
+            and P.pic.inner(c, w.D.coords) == 0
+            and _pair(P, c, om) > 0
+            and all(P.pic.inner(v.D.coords, c) > 0 for v in walls if v is not w)
+        ):
+            raise InternalError(f"certificate {c} does not certify the wall D={w.D.coords}")
     return SupportResult(walls=tuple(walls), exact=exact, search_bound=search_bound)
 
 

@@ -2,22 +2,23 @@
 
 Subcommands and the flags each one reads
 ----------------------------------------
-tabulate   wall-type rows for one n (json / csv / table)
-           --n, --format, --certified, --quiet
+tabulate   wall-type rows for one n
+           --n, --format (json / csv / table), --certified, --quiet
 wall-test  decide whether a class or a (square, div) type supports a wall
-           --n, --format, --input, --quiet
+           --n, --format (json / table), --input, --quiet
 orbit      compare two primitive classes under the isometry group of L_n
-           --n, --format, --input, --quiet
+           --n, --format (json / table), --input, --quiet
 chamber    supporting walls, certificates, and dual rays for a Picard query
-           --format, --input, --quiet; the search bound is the query's
-           optional "bound" key (default 12)
+           --format (json / table), --input, --quiet; the search bound is
+           the query's optional "bound" key (default 12)
 verify     recompute every shipped fixture and emit a report
            --format (json / junit / table), --fixture, --seed
 
 Exit codes: 0 success / detected / same orbit / all fixtures pass;
 1 not detected / different orbit / fixture failures; 2 bad input,
 configuration, or enumeration budget; 3 reference class exactly on a wall
-(the wall is named on stderr).
+(the wall is named on stderr); 4 internal error (a broken invariant, a bug
+in wallkit rather than bad input).
 
 The environment variable WALLKIT_MAX_CELLS caps enumeration work (default
 10^8 lattice cells) so oversized queries fail fast instead of hanging.
@@ -34,6 +35,7 @@ from .errors import (
     ConfigurationError,
     EnumerationBudgetExceeded,
     InputError,
+    InternalError,
     OnWallError,
 )
 from .lattice import divisibility
@@ -47,6 +49,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 EXIT_ON_WALL = 3
+EXIT_INTERNAL = 4
 
 
 _FLAGS = {
@@ -69,7 +72,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def command(name, summary, *flags, formats=("json", "csv", "table")):
+    def command(name, summary, *flags, formats=("json", "table")):
         sp = sub.add_parser(name, help=summary)
         sp.add_argument(
             "--format",
@@ -80,7 +83,8 @@ def _parser() -> argparse.ArgumentParser:
         for flag in flags:
             sp.add_argument(flag, **_FLAGS[flag])
 
-    command("tabulate", "list wall types for one n", "--n", "--certified", "--quiet")
+    command("tabulate", "list wall types for one n", "--n", "--certified", "--quiet",
+            formats=("json", "csv", "table"))
     command("wall-test", "test a class or a (square, div) type", "--n", "--input", "--quiet")
     command("orbit", "compare two primitive classes in L_n", "--n", "--input", "--quiet")
     command("chamber", "chamber report for a Picard query", "--input", "--quiet")
@@ -302,6 +306,9 @@ def main(argv=None) -> int:
     except (InputError, ConfigurationError, EnumerationBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

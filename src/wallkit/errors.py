@@ -2,7 +2,7 @@
 
 The CLI maps these onto exit codes, so raising the right class matters:
 InputError / ConfigurationError / EnumerationBudgetExceeded -> exit 2,
-OnWallError -> exit 3.
+OnWallError -> exit 3, InternalError -> exit 4.
 """
 
 from __future__ import annotations
@@ -33,3 +33,7 @@ class OnWallError(WallkitError):
 
 class EnumerationBudgetExceeded(WallkitError):
     """An enumeration would visit more cells than the configured cap."""
+
+
+class InternalError(WallkitError):
+    """A broken internal invariant: a bug in wallkit, never bad input."""

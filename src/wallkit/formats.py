@@ -84,10 +84,6 @@ def parse_rational_vector(obj, rank: int | None = None) -> tuple[Fraction, ...]:
 # ------------------------------------------------------------------ lattices
 
 
-def lattice_to_json(lat: IntegerLattice) -> dict:
-    return {"label": lat.label, "gram": [list(row) for row in lat.gram]}
-
-
 def lattice_from_json(obj) -> IntegerLattice:
     if not isinstance(obj, dict) or "gram" not in obj:
         raise InputError('lattice JSON needs a "gram" matrix')
@@ -107,10 +103,6 @@ def embedding_from_json(source: IntegerLattice, target: IntegerLattice, matrix) 
             f"embedding matrix must be {target.rank}x{source.rank} (rows x cols)"
         )
     return Embedding(source, target, rows)
-
-
-def embedding_to_json(emb: Embedding) -> list[list[int]]:
-    return [list(row) for row in emb.matrix]
 
 
 # ---------------------------------------------------------------- wall types

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd, isqrt
 
 from . import _linalg as la
-from .errors import InputError
+from .errors import InputError, InternalError
 from .lattice import (
     DiscriminantGroup,
     Embedding,
@@ -102,9 +102,9 @@ def make_context(n: int) -> NContext:
     gv = la.mat_vec(mukai.gram, v.coords)
     for j in range(cols):
         if sum(gv[i] * emb.matrix[i][j] for i in range(24)) != 0:
-            raise InputError("internal: ambient image is not orthogonal to v")
+            raise InternalError("ambient image is not orthogonal to v")
     if not emb.is_primitive():
-        raise InputError("internal: ambient embedding is not primitive")
+        raise InternalError("ambient embedding is not primitive")
     return NContext(
         n=n,
         ambient=ambient,
@@ -267,10 +267,6 @@ class RankTwoData:
     v_in_T: LatticeVector
     s_in_T: LatticeVector
 
-    @property
-    def is_hyperbolic(self) -> bool:
-        return la.bareiss_det(self.lattice.gram) < 0
-
 
 def hyperbolic_T(ctx: NContext, s) -> RankTwoData:
     """Saturation of span{v, s} in the extension, with v and s rewritten
@@ -283,7 +279,7 @@ def hyperbolic_T(ctx: NContext, s) -> RankTwoData:
     v_in = emb.preimage(ctx.v)
     s_in = emb.preimage(s)
     if v_in is None or s_in is None:
-        raise InputError("internal: saturation lost the spanning classes")
+        raise InternalError("saturation lost the spanning classes")
     return RankTwoData(lattice=emb.source, embed=emb, v_in_T=v_in, s_in_T=s_in)
 
 
@@ -477,7 +473,7 @@ def wall_type_exists(ctx: NContext, square: int, div: int) -> tuple[bool, Lattic
     coords[22] = c
     D = ctx.ambient.vector(coords)
     if D.norm() != square or not D.is_primitive() or D.div() != div:
-        raise InputError("internal: witness construction failed")
+        raise InternalError("witness construction failed")
     return True, D
 
 
@@ -599,7 +595,7 @@ def eichler_transvection(lattice: IntegerLattice, e, a) -> tuple[tuple[int, ...]
     matrix = la.transpose(cols)
     check = la.mat_mul(la.mat_mul(la.transpose(matrix), lattice.gram), matrix)
     if check != lattice.gram:
-        raise InputError("internal: transvection is not an isometry")
+        raise InternalError("transvection is not an isometry")
     return matrix
 
 

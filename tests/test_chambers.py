@@ -3,9 +3,13 @@ supporting walls with certificates, extremal rays, segment wall crossing,
 and the dual-cone membership contract."""
 
 import itertools
+import json
 import random
+import typing
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,7 @@ from wallkit import (
     Embedding,
     EnumerationBudgetExceeded,
     InputError,
+    InternalError,
     OnWallError,
     PicardData,
     IntegerLattice,
@@ -29,7 +34,11 @@ from wallkit import (
     supporting_walls_report,
     walls_between,
 )
+from wallkit import chambers
 from wallkit.chambers import MAX_PICARD_RANK
+from wallkit.formats import parse_chamber_query
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def picard(n, gram, cols, omega=None):
@@ -193,6 +202,10 @@ class TestRankEdges:
     def test_imprimitive_embedding_rejected(self):
         with pytest.raises(InputError):
             picard(2, [[-8]], [{22: 2}])
+
+    def test_type_hints_resolve(self):
+        hints = typing.get_type_hints(PicardData)
+        assert hints["embed"] is Embedding
 
 
 # ------------------------------------------------------------ wall membership
@@ -445,6 +458,7 @@ class TestRank3Chamber:
         for w in walls:
             assert P.pic.norm(w.certificate) > 0
             assert P.pic.inner(w.certificate, w.D.coords) == 0
+            assert P.pic.inner(w.certificate, (5, 3, 1)) > 0
             for other in walls:
                 if other is not w:
                     assert P.pic.inner(other.D.coords, w.certificate) > 0
@@ -491,3 +505,89 @@ class TestPathConsistency:
         # hop across the tail wall: reflect omega in (0,1)
         found = walls_between(P, (2, -1), (2, 1), types)
         assert len(found) == 1 and tuple(found[0].D.coords) in by_D
+
+
+# ------------------------------------------------- facet-first rank >= 3 search
+
+
+SUPPORT_RANDOM = json.loads(
+    (GOLDEN_DIR / "support_random.json").read_text(encoding="utf-8")
+)["cases"]
+WRONG_COMPONENT_OMEGA = (12, Fraction(26, 3), 9)
+
+
+def flip_first_certificate(search):
+    """Wrap a support search so that its first certificate is negated."""
+
+    def broken(*args):
+        walls, exact = search(*args)
+        first = replace(walls[0], certificate=tuple(-c for c in walls[0].certificate))
+        return [first, *walls[1:]], exact
+
+    return broken
+
+
+class TestFacetSearch:
+    def test_wrong_component_facet_is_no_wall(self):
+        # D = (1, 0, -1) cuts a facet of the candidate cone, but that facet
+        # meets only the other component of the positive cone
+        P = rank3_data(omega=WRONG_COMPONENT_OMEGA)
+        rep = supporting_walls_report(
+            P, P.omega_ref, enumerate_wall_types(P.ctx), search_bound=1
+        )
+        assert {tuple(w.D.coords): w.certificate for w in rep.walls} == {
+            (-1, 1, 0): (31, 31, 27),
+            (0, -1, -1): (36, 17, 18),
+        }
+        for w in rep.walls:
+            assert P.pic.inner(w.certificate, P.omega_ref) > 0
+
+    @pytest.mark.parametrize(
+        "omega,bound,sizes",
+        [
+            # 114 candidates; omega's projection certifies all 3 facets
+            ((5, 3, 1), 12, [114]),
+            # 6 candidates and 3 facets; the projection certifies 2
+            (WRONG_COMPONENT_OMEGA, 1, [6, 5]),
+        ],
+        ids=["projection", "exact"],
+    )
+    def test_one_double_description_per_decided_facet(self, monkeypatch, omega, bound, sizes):
+        calls = []
+        dd = chambers._dual_description
+
+        def counting(constraints, dim, budget):
+            calls.append(len(constraints))
+            return dd(constraints, dim, budget)
+
+        monkeypatch.setattr(chambers, "_dual_description", counting)
+        P = rank3_data(omega=omega)
+        supporting_walls_report(P, omega, enumerate_wall_types(P.ctx), search_bound=bound)
+        assert calls == sizes
+
+    @pytest.mark.parametrize(
+        "case", SUPPORT_RANDOM, ids=[f"q{i}" for i in range(len(SUPPORT_RANDOM))]
+    )
+    def test_random_queries_match_recorded(self, case):
+        query = parse_chamber_query(case["query"])
+        P, omega = query["P"], query["omega"]
+        rep = supporting_walls_report(
+            P, omega, certified_wall_types(P.ctx), search_bound=query["bound"]
+        )
+        got = [
+            [list(w.D.coords), w.wall_type.square, w.wall_type.div, list(w.certificate)]
+            for w in rep.walls
+        ]
+        recorded = case["walls"]
+        assert got == [w for w in recorded if w[0] not in case["spurious"]]
+        for D, _, _, cert in recorded:
+            if D in case["spurious"]:
+                assert P.pic.inner(cert, omega) < 0
+
+    def test_broken_certificate_is_internal_error(self, monkeypatch):
+        monkeypatch.setattr(
+            chambers, "_support_general", flip_first_certificate(chambers._support_general)
+        )
+        P = rank3_data()
+        with pytest.raises(InternalError):
+            supporting_walls_report(P, (5, 3, 1), enumerate_wall_types(P.ctx))

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from test_chambers import flip_first_certificate
 from wallkit import chambers, cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -74,6 +75,9 @@ class TestFlags:
             ["verify", "--fixture", "delta", "--bound", "5"],
             ["verify", "--fixture", "delta", "--input", "{}"],
             ["verify", "--fixture", "delta", "--quiet"],
+            ["wall-test", "--n", "3", "--input", TAIL_CLASS, "--format", "csv"],
+            ["orbit", "--n", "2", "--input", ROOT_PAIR, "--format", "csv"],
+            ["chamber", "--input", P2_QUERY(), "--format", "csv"],
         ],
         ids=lambda argv: f"{argv[0]}{argv[-2] if argv[-1] != '--quiet' else ''}{argv[-1]}",
     )
@@ -81,7 +85,9 @@ class TestFlags:
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        removed_value = argv[-2] == "--format"
+        expected = "invalid choice" if removed_value else "unrecognized arguments"
+        assert expected in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- tabulate
@@ -351,6 +357,15 @@ class TestChamber:
         assert code == 0
         assert len(calls) == 1
 
+    def test_internal_error_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            chambers, "_support_general", flip_first_certificate(chambers._support_general)
+        )
+        code, out, err = run(capsys, "chamber", "--input", RK3_QUERY())
+        assert code == cli.EXIT_INTERNAL == 4
+        assert out == ""
+        assert err.startswith("internal error: certificate")
+
     @pytest.mark.parametrize("fmt", ["json", "table"])
     @pytest.mark.parametrize("name", ["p2", "rk3"])
     def test_golden_stdout(self, capsys, fmt, name):
@@ -420,6 +435,27 @@ class TestDeterminism:
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
         assert json.loads(a.stdout)["exact"] is False
+
+    def test_invariant_checks_survive_optimize(self):
+        # python -O strips asserts; the certificate check must still fire
+        script = (
+            "import sys; from wallkit import chambers, cli; "
+            "from test_chambers import flip_first_certificate as flip; "
+            "chambers._support_general = flip(chambers._support_general); "
+            "sys.exit(cli.main(sys.argv[1:]))"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parent), env.get("PYTHONPATH", "")]
+        )
+        res = subprocess.run(
+            [sys.executable, "-O", "-c", script, "chamber", "--input", RK3_QUERY()],
+            capture_output=True,
+            env=env,
+            timeout=300,
+        )
+        assert res.returncode == 4
+        assert b"internal error" in res.stderr
 
     def test_input_from_file(self, tmp_path):
         path = tmp_path / "query.json"
