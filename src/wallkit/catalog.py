@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from xml.etree import ElementTree as ET
 
 from . import chambers as cg
 from . import walls as wl
@@ -502,6 +501,8 @@ def report_json(reports) -> dict:
 
 
 def report_junit(reports) -> str:
+    from xml.etree import ElementTree as ET  # only JUnit reports need it
+
     total = sum(len(r.assertions) for r in reports)
     failures = sum(r.failures for r in reports)
     suites = ET.Element(

@@ -24,6 +24,7 @@ All questions are reduced to exact finite enumerations:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +36,6 @@ from .lattice import (
     Embedding,
     IntegerLattice,
     LatticeVector,
-    divisibility,
     orthogonal_complement,
     signature,
 )
@@ -91,9 +91,26 @@ class PicardData:
                 raise InputError("reference class must have positive square")
             object.__setattr__(self, "omega_ref", om)
 
+    @functools.cached_property
+    def _div_basis(self) -> tuple[tuple[int, ...], ...]:
+        """Rows d_i (Q^-1)_i of the Smith form P (G_L E) Q = D.
+
+        They are a Z-basis of the row span of G_L E (E the embedding
+        matrix), and gcd is invariant under the unimodular P, so the gcd of
+        the pairings (E x, L_n) is the gcd of this basis applied to x.
+        """
+        _, d, q = la.smith_normal_form(la.mat_mul(self.ctx.ambient.gram, self.embed.matrix))
+        qinv = la.invert_unimodular(q)
+        return tuple(tuple(d[i][i] * v for v in qinv[i]) for i in range(self.pic.rank))
+
     def div_of(self, coords) -> int:
         """Divisibility in L_n (not in pic) of an integral pic class."""
-        return divisibility(self.ctx.ambient, self.embed.apply(coords).coords)
+        if isinstance(coords, LatticeVector):
+            coords = coords.coords
+        d = gcd(*la.mat_vec(self._div_basis, coords))
+        if d == 0:
+            raise InputError("divisibility undefined: vector pairs trivially with lattice")
+        return d
 
 
 @dataclass(frozen=True)
@@ -501,15 +518,18 @@ def _box_candidates(P: PicardData, omega, lookup, bound, budget):
     """Type-matching primitive classes with coordinates in [-bound, bound],
     oriented toward omega.  Assumes the on-wall check already ran."""
     n = P.pic.rank
+    side = _primitive_int(la.mat_vec(P.pic.gram, omega))  # (x, omega) > 0 iff side . x > 0
+    budget.spend((2 * bound + 1) ** n)
     out = {}
     for x in itertools.product(range(-bound, bound + 1), repeat=n):
-        budget.spend()
         if not any(x) or gcd(*x) != 1:
             continue
         t = _match_type(P, x, lookup)
         if t is None:
             continue
-        out[_toward(P, x, omega)] = t
+        if sum(h * c for h, c in zip(side, x)) < 0:
+            x = tuple(-c for c in x)
+        out[x] = t
     return out
 
 

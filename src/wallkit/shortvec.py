@@ -1,9 +1,14 @@
 """Exact short-vector enumeration in definite quadratic forms.
 
-Fincke-Pohst with a Fraction-valued Cholesky-style decomposition; every
-bound is tested in exact arithmetic, so the enumeration is provably
-complete (no floating-point fudge factors).  All routines honor a cell
-budget so oversized requests fail fast instead of hanging.
+Fincke-Pohst in integers.  A Fraction-valued Cholesky-style decomposition
+checks definiteness; its rows are then brought to one common denominator,
+so the recursion adds, multiplies and compares integers only and knows
+each point's exact slack (the bound minus its value, times that
+denominator).  `short_vectors` keeps the points of slack 0 instead of
+recomputing norms.  Every bound is tested in exact arithmetic, so the
+enumeration is provably complete (no floating-point fudge factors).  All
+routines honor a cell budget so oversized requests fail fast instead of
+hanging.
 """
 
 from __future__ import annotations
@@ -72,6 +77,49 @@ def _fp_decompose(gram: Sequence[Sequence]) -> list[list[Fraction]]:
     return q
 
 
+def _fp_points(
+    q: list[list[Fraction]], bound: Fraction, budget: CellBudget
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield (x, M * (bound - Q(x))) for every nonzero x with Q(x) <= bound.
+
+    `q` is the `_fp_decompose` of Q and bound >= 0.  The recursion runs on
+    integers.  Let e_i be the denominator of row i of q and M the least
+    common denominator of the bound and of every q_ii / e_i^2.  Level i has
+    weight w_i = M q_ii / e_i^2, centre numerator C = sum_j e_i q_ij x_j
+    and remainder R = M (bound - the upper levels' terms); x_i = k costs
+    w_i (e_i k + C)^2.  A level tries exactly the k with cost <= R, in
+    ascending order.  On entry it charges the budget one cell per k of the
+    classical bracket [floor(-c) - m, ceil(-c) + m] around the centre
+    -c = -C / e_i, with m = isqrt(floor(R / (M q_ii))), which contains them.
+    """
+    n = len(q)
+    e = [math.lcm(*(q[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
+    M = math.lcm(bound.denominator, *((q[i][i] / (e[i] * e[i])).denominator for i in range(n)))
+    w = [int(M * q[i][i] / (e[i] * e[i])) for i in range(n)]
+    a = [[int(e[i] * q[i][j]) if j > i else 0 for j in range(n)] for i in range(n)]
+    x = [0] * n
+
+    def level(i: int, rem: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        ei, wi, ai = e[i], w[i], a[i]
+        c = 0
+        for j in range(i + 1, n):
+            if x[j]:
+                c += ai[j] * x[j]
+        m = math.isqrt(rem // (wi * ei * ei))
+        budget.spend(-(c // ei) - (-c // ei) + 2 * m + 1)
+        s = math.isqrt(rem // wi)
+        for k in range(-((s + c) // ei), (s - c) // ei + 1):
+            x[i] = k
+            t = ei * k + c
+            if i:
+                yield from level(i - 1, rem - wi * t * t)
+            elif any(x):
+                yield tuple(x), rem - wi * t * t
+        x[i] = 0
+
+    yield from level(n - 1, int(M * bound))
+
+
 def enumerate_quadratic_leq(
     gram: Sequence[Sequence],
     bound,
@@ -93,43 +141,19 @@ def enumerate_quadratic_leq(
         raise InputError(str(exc)) from exc
     if budget is None:
         budget = CellBudget()
-    x = [0] * n
-
-    def level(i: int, rem: Fraction) -> Iterator[tuple[int, ...]]:
-        c = Fraction(0)
-        for j in range(i + 1, n):
-            if x[j]:
-                c += q[i][j] * x[j]
-        ratio = rem / q[i][i]
-        m = math.isqrt(ratio.numerator // ratio.denominator)
-        lo = math.floor(-c) - m
-        hi = math.ceil(-c) + m
-        for k in range(lo, hi + 1):
-            budget.spend()
-            val = q[i][i] * (k + c) ** 2
-            if val > rem:
-                continue
-            x[i] = k
-            if i == 0:
-                if any(x):
-                    yield tuple(x)
-            else:
-                yield from level(i - 1, rem - val)
-        x[i] = 0
-
-    yield from level(n - 1, bound)
+    for x, _ in _fp_points(q, bound, budget):
+        yield x
 
 
-def _definite_sign(lattice: IntegerLattice) -> int:
-    """+1 for positive definite, -1 for negative definite, InputError else."""
+def _definite_decompose(lattice: IntegerLattice) -> tuple[int, list[list[Fraction]]]:
+    """(+1, q) for positive definite, (-1, q of -gram) for negative
+    definite, InputError else."""
     try:
-        _fp_decompose(lattice.gram)
-        return 1
+        return 1, _fp_decompose(lattice.gram)
     except ValueError:
         pass
     try:
-        _fp_decompose(tuple(tuple(-x for x in row) for row in lattice.gram))
-        return -1
+        return -1, _fp_decompose(tuple(tuple(-x for x in row) for row in lattice.gram))
     except ValueError:
         raise InputError("short-vector enumeration needs a definite lattice") from None
 
@@ -147,7 +171,7 @@ def short_vectors(
     """
     if lattice.rank == 0:
         return []
-    sign = _definite_sign(lattice)
+    sign, q = _definite_decompose(lattice)
     if target_norm == 0:
         return []
     if (target_norm > 0) != (sign > 0):
@@ -155,16 +179,9 @@ def short_vectors(
             f"target norm {target_norm} has the wrong sign for a "
             f"{'positive' if sign > 0 else 'negative'}-definite lattice"
         )
-    gram = lattice.gram if sign > 0 else tuple(
-        tuple(-x for x in row) for row in lattice.gram
-    )
-    goal = abs(target_norm)
     budget = CellBudget(max_cells)
-    hits = [
-        coords
-        for coords in enumerate_quadratic_leq(gram, goal, budget)
-        if lattice.norm(coords) == target_norm
-    ]
-    hits.sort()
+    hits = sorted(
+        x for x, slack in _fp_points(q, Fraction(abs(target_norm)), budget) if slack == 0
+    )
     return [LatticeVector(lattice, c) for c in hits]
 

@@ -2,9 +2,13 @@
 the reports serialize faithfully."""
 
 import json
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
+
+from test_cli import subprocess_env
 
 from wallkit import InputError
 from wallkit import chambers
@@ -118,6 +122,15 @@ class TestReports:
             len(r.assertions) for r in reports
         )
         assert xml.startswith("<?xml")
+
+    def test_import_leaves_elementtree_unloaded(self):
+        # report_junit imports ElementTree itself; importing wallkit must not
+        code = "import sys, wallkit, wallkit.cli; print('xml.etree.ElementTree' in sys.modules)"
+        res = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, env=subprocess_env(), timeout=60
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == b"False"
 
     def test_junit_marks_failures(self):
         # doctor one report so the failure path is exercised

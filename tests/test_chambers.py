@@ -23,6 +23,7 @@ from wallkit import (
     PicardData,
     IntegerLattice,
     certified_wall_types,
+    divisibility,
     enumerate_wall_types,
     extremal_rays,
     ht_bound_ok,
@@ -206,6 +207,44 @@ class TestRankEdges:
     def test_type_hints_resolve(self):
         hints = typing.get_type_hints(PicardData)
         assert hints["embed"] is Embedding
+
+
+# ------------------------------------------------------ ambient divisibility
+
+RANK4_GRAM = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -4, 0], [0, 0, 0, -2]]
+RANK4_COLS = [{0: 1}, {1: 1}, {22: 1}, {2: 1, 3: -1}]
+RANK5_GRAM = [[*row, 0] for row in RANK4_GRAM] + [[0, 0, 0, 0, -2]]
+RANK5_COLS = [*RANK4_COLS, {4: 1, 5: -1}]
+
+DIV_LATTICES = {
+    **{
+        f"rank3-n{n}": (
+            n, [[0, 1, 0], [1, 0, 0], [0, 0, -(2 * n - 2)]], [{0: 1}, {1: 1}, {22: 1}]
+        )
+        for n in (2, 3, 4)
+    },
+    "rank4": (3, RANK4_GRAM, RANK4_COLS),
+    "rank5": (3, RANK5_GRAM, RANK5_COLS),
+    "bm2-n3": (3, [[4, 0], [0, -4]], [{0: 1, 1: 2}, {22: 1}]),
+}
+
+
+class TestDivOf:
+    @pytest.mark.parametrize("name", list(DIV_LATTICES))
+    def test_matches_ambient_divisibility_on_box(self, name):
+        P = picard(*DIV_LATTICES[name])
+        imprimitive = 0
+        for x in itertools.product(range(-4, 5), repeat=P.pic.rank):
+            # div(-x) = div(x): one class of each pair, first nonzero entry > 0
+            if not any(x) or unsigned(x) != x:
+                continue
+            imprimitive += gcd(*x) > 1
+            assert P.div_of(x) == divisibility(P.ctx.ambient, P.embed.apply(x).coords), x
+        assert imprimitive > 0
+
+    def test_zero_class_rejected(self):
+        with pytest.raises(InputError):
+            rank3_data().div_of((0, 0, 0))
 
 
 # ------------------------------------------------------------ wall membership

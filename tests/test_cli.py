@@ -14,6 +14,15 @@ from test_chambers import flip_first_certificate
 from wallkit import chambers, cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def subprocess_env(*paths):
+    """os.environ with `paths` and the package sources put on PYTHONPATH,
+    so child interpreters import this checkout's wallkit."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([*map(str, paths), str(SRC), env.get("PYTHONPATH", "")])
+    return env
 
 N3_CSV = "r2,D2,div\n-2,-2,1\n-1,-4,2\n-3,-12,2\n-1/4,-4,4\n-9/4,-36,4\n"
 
@@ -411,7 +420,7 @@ class TestVerify:
 
 
 def run_proc(*argv, env_extra=None):
-    env = dict(os.environ)
+    env = subprocess_env()
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -444,10 +453,7 @@ class TestDeterminism:
             "chambers._support_general = flip(chambers._support_general); "
             "sys.exit(cli.main(sys.argv[1:]))"
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(__file__).resolve().parent), env.get("PYTHONPATH", "")]
-        )
+        env = subprocess_env(Path(__file__).resolve().parent)
         res = subprocess.run(
             [sys.executable, "-O", "-c", script, "chamber", "--input", RK3_QUERY()],
             capture_output=True,

@@ -1,10 +1,15 @@
 """Short-vector enumeration against brute-force and root-system oracles."""
 
 import itertools
+import json
+import math
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from wallkit import _linalg as la
 from wallkit import (
     CellBudget,
     EnumerationBudgetExceeded,
@@ -76,6 +81,11 @@ class TestE8Roots:
         assert count == 240
         assert len(short_vectors(standard_lattice("E8(-1)"), -2)) == count
 
+    def test_shell_counts(self):
+        # theta series of E8: 240 sigma_3(k) vectors of norm 2k
+        e8 = standard_lattice("E8(-1)")
+        assert [len(short_vectors(e8, -2 * k)) for k in (1, 2, 3, 4)] == [240, 2160, 6720, 17520]
+
     def test_symmetric_and_sorted(self):
         roots = short_vectors(standard_lattice("E8(-1)"), -2)
         coords = [v.coords for v in roots]
@@ -110,3 +120,67 @@ class TestContracts:
         neg = tuple(tuple(-c for c in row) for row in gram)
         assert got == brute_force(neg, -2)
         assert budget.used > 0
+
+
+# ------------------------------------------- recorded outputs on rational forms
+
+ENUMERATE_RANDOM = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "enumerate_random.json").read_text(
+        encoding="utf-8"
+    )
+)["cases"]
+BOX_LIMIT = 20000  # brute force only boxes with at most this many points
+
+
+def box_radii(gram, bound):
+    """r_i with |x_i| <= r_i whenever Q(x) <= bound: x_i^2 <= bound (G^-1)_ii."""
+    n = len(gram)
+    out = []
+    for i in range(n):
+        v = bound * la.solve_rational(gram, [int(i == j) for j in range(n)])[i]
+        out.append(math.isqrt(v.numerator // v.denominator))
+    return out
+
+
+class TestRandomRationalForms:
+    @pytest.mark.parametrize(
+        "case", ENUMERATE_RANDOM, ids=[f"f{i}" for i in range(len(ENUMERATE_RANDOM))]
+    )
+    def test_matches_recorded_and_brute_force(self, case):
+        gram = [[Fraction(v) for v in row] for row in case["gram"]]
+        bound = Fraction(case["bound"])
+        budget = CellBudget(max_cells=10**7)
+        got = [list(x) for x in enumerate_quadratic_leq(gram, bound, budget)]
+        assert got == case["points"]
+        assert budget.used == case["used"]
+        # Q over one common denominator, so equality with the bound is exact
+        den = math.lcm(bound.denominator, *(v.denominator for row in gram for v in row))
+        g = [[int(v * den) for v in row] for row in gram]
+        top = int(bound * den)
+        n = len(g)
+
+        def q(x):
+            return sum(g[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
+
+        on_bound = [x for x in got if q(x) == top]
+        assert all(q(x) <= top for x in got)
+        radii = box_radii(gram, bound)
+        if math.prod(2 * r + 1 for r in radii) > BOX_LIMIT:
+            return
+        box = {
+            x
+            for x in itertools.product(*(range(-r, r + 1) for r in radii))
+            if any(x) and q(x) <= top
+        }
+        assert {tuple(x) for x in got} == box
+        assert {x for x in box if q(x) == top} == {tuple(x) for x in on_bound}
+
+    def test_bound_values_are_emitted(self):
+        # odd cases take the value of a nonzero integer point as the bound
+        for case in ENUMERATE_RANDOM[1::2]:
+            gram = [[Fraction(v) for v in row] for row in case["gram"]]
+            bound = Fraction(case["bound"])
+            assert any(
+                la.vec_mat_vec(x, gram, x) == bound
+                for x in enumerate_quadratic_leq(gram, bound)
+            )
