@@ -239,31 +239,6 @@ def rank(m: Sequence[Sequence]) -> int:
     return r
 
 
-def invert_unimodular(m: Sequence[Sequence[int]]) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix, as an integer matrix."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[c], a[piv] = a[piv], a[c]
-        inv = a[c][c]
-        a[c] = [x / inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    out = []
-    for i in range(n):
-        row = a[i][n:]
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not unimodular")
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
-
-
 def signature_of(gram: Sequence[Sequence[int]]) -> tuple[int, int]:
     """Inertia (n_+, n_-) of a nondegenerate symmetric matrix, exactly.
 

@@ -98,10 +98,11 @@ class PicardData:
         They are a Z-basis of the row span of G_L E (E the embedding
         matrix), and gcd is invariant under the unimodular P, so the gcd of
         the pairings (E x, L_n) is the gcd of this basis applied to x.
+        Since P (G_L E) = D Q^-1, they are the first rows of P (G_L E).
         """
-        _, d, q = la.smith_normal_form(la.mat_mul(self.ctx.ambient.gram, self.embed.matrix))
-        qinv = la.invert_unimodular(q)
-        return tuple(tuple(d[i][i] * v for v in qinv[i]) for i in range(self.pic.rank))
+        ge = la.mat_mul(self.ctx.ambient.gram, self.embed.matrix)
+        p, _, _ = la.smith_normal_form(ge)
+        return la.mat_mul(p[: self.pic.rank], ge)
 
     def div_of(self, coords) -> int:
         """Divisibility in L_n (not in pic) of an integral pic class."""

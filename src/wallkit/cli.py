@@ -14,6 +14,10 @@ chamber    supporting walls, certificates, and dual rays for a Picard query
 verify     recompute every shipped fixture and emit a report
            --format (json / junit / table), --fixture, --seed
 
+--quiet: tabulate and chamber drop the n >= 5 caveat line (tabulate prints
+it on stdout for table output, on stderr for csv) and a json payload keeps
+its "note" key; wall-test and orbit print nothing, the exit code answers.
+
 Exit codes: 0 success / detected / same orbit / all fixtures pass;
 1 not detected / different orbit / fixture failures; 2 bad input,
 configuration, or enumeration budget; 3 reference class exactly on a wall
@@ -55,7 +59,6 @@ EXIT_INTERNAL = 4
 _FLAGS = {
     "--n": dict(type=int, required=True, help="family parameter, n >= 2"),
     "--input": dict(help="inline JSON or a path to a JSON file (command-specific payload)"),
-    "--quiet": dict(action="store_true", help="suppress notes; keep machine output"),
     "--certified": dict(
         action="store_true",
         help="restrict to types carrying a verified wall certificate",
@@ -72,7 +75,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def command(name, summary, *flags, formats=("json", "table")):
+    def command(name, summary, *flags, formats=("json", "table"), quiet=None):
         sp = sub.add_parser(name, help=summary)
         sp.add_argument(
             "--format",
@@ -82,12 +85,17 @@ def _parser() -> argparse.ArgumentParser:
         )
         for flag in flags:
             sp.add_argument(flag, **_FLAGS[flag])
+        if quiet:
+            sp.add_argument("--quiet", action="store_true", help=quiet)
 
-    command("tabulate", "list wall types for one n", "--n", "--certified", "--quiet",
-            formats=("json", "csv", "table"))
-    command("wall-test", "test a class or a (square, div) type", "--n", "--input", "--quiet")
-    command("orbit", "compare two primitive classes in L_n", "--n", "--input", "--quiet")
-    command("chamber", "chamber report for a Picard query", "--input", "--quiet")
+    caveat_only = "drop the n >= 5 caveat line; json output keeps its note"
+    silent = "print nothing; the exit code is the answer"
+    command("tabulate", "list wall types for one n", "--n", "--certified",
+            formats=("json", "csv", "table"), quiet=caveat_only)
+    command("wall-test", "test a class or a (square, div) type", "--n", "--input",
+            quiet=silent)
+    command("orbit", "compare two primitive classes in L_n", "--n", "--input", quiet=silent)
+    command("chamber", "chamber report for a Picard query", "--input", quiet=caveat_only)
     command(
         "verify",
         "recompute the shipped fixtures",

@@ -14,7 +14,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from . import _linalg as la
-from .errors import InputError
+from .errors import InputError, InternalError
 
 __all__ = [
     "IntegerLattice",
@@ -323,6 +323,17 @@ class DiscriminantGroup:
         )
 
 
+def _exact_quotient(v: Sequence[int], d: int) -> tuple[int, ...]:
+    """v / d, where a Smith identity says that d divides every entry."""
+    out = []
+    for x in v:
+        q, r = divmod(x, d)
+        if r:
+            raise InternalError(f"Smith identity broken: {d} does not divide {tuple(v)}")
+        out.append(q)
+    return tuple(out)
+
+
 @functools.lru_cache(maxsize=None)
 def discriminant_group(lattice: IntegerLattice) -> DiscriminantGroup:
     if lattice.is_degenerate:
@@ -337,7 +348,9 @@ def discriminant_group(lattice: IntegerLattice) -> DiscriminantGroup:
         if diag[i] > 1:
             factors.append(diag[i])
             gens.append(tuple(Fraction(x, diag[i]) for x in cols[i]))
-    qinv = la.invert_unimodular(q)
+    # G is invertible and P G = D Q^-1: row i of Q^-1 is row i of P G over d_i
+    pg = la.mat_mul(p, lattice.gram)
+    qinv = tuple(_exact_quotient(pg[i], diag[i]) for i in range(n))
     return DiscriminantGroup(
         lattice=lattice,
         invariant_factors=tuple(factors),
@@ -387,7 +400,7 @@ def saturation(lattice: IntegerLattice, sub) -> Embedding:
         if len(matrix) != lattice.rank:
             raise InputError("sublattice matrix must have one row per lattice coordinate")
     ncols = len(matrix[0]) if matrix else 0
-    p, d, q = la.smith_normal_form(matrix)
+    _, d, q = la.smith_normal_form(matrix)
     rk = sum(1 for i in range(min(lattice.rank, ncols)) if d[i][i] != 0)
     if rk == ncols and all(d[i][i] == 1 for i in range(rk)):
         if isinstance(sub, Embedding):
@@ -395,9 +408,9 @@ def saturation(lattice: IntegerLattice, sub) -> Embedding:
         cols = la.transpose(matrix)
         induced = la.mat_mul(la.mat_mul(cols, lattice.gram), la.transpose(cols))
         return Embedding(IntegerLattice(induced), lattice, matrix)
-    pinv = la.invert_unimodular(p)
-    pcols = la.transpose(pinv)
-    basis = tuple(pcols[i] for i in range(rk))
+    # M Q = P^-1 D, so column i < rk of P^-1 is column i of M Q over d_i
+    mq = la.transpose(la.mat_mul(matrix, q))
+    basis = tuple(_exact_quotient(mq[i], d[i][i]) for i in range(rk))
     matrix_sat = la.transpose(basis)
     induced = la.mat_mul(la.mat_mul(basis, lattice.gram), la.transpose(basis))
     sat = IntegerLattice(induced, label="saturation")

@@ -273,9 +273,9 @@ def hyperbolic_T(ctx: NContext, s) -> RankTwoData:
     in its basis.  InputError when s is proportional to v."""
     s = _as_vector(ctx.mukai, s)
     cols = tuple((a, b) for a, b in zip(ctx.v.coords, s.coords))
-    if la.rank(cols) < 2:
-        raise InputError("span of v and s is not rank 2")
     emb = saturation(ctx.mukai, cols)
+    if emb.source.rank < 2:
+        raise InputError("span of v and s is not rank 2")
     v_in = emb.preimage(ctx.v)
     s_in = emb.preimage(s)
     if v_in is None or s_in is None:

@@ -98,6 +98,22 @@ class TestFlags:
         expected = "invalid choice" if removed_value else "unrecognized arguments"
         assert expected in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, says",
+        [
+            ("tabulate", "drop the n >= 5 caveat line"),
+            ("chamber", "drop the n >= 5 caveat line"),
+            ("wall-test", "print nothing; the exit code is the answer"),
+            ("orbit", "print nothing; the exit code is the answer"),
+        ],
+    )
+    def test_quiet_help_says_what_it_does(self, capsys, command, says):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"--quiet {says}" in help_text
+
 
 # ----------------------------------------------------------------- tabulate
 

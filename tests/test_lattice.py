@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 import sympy
 
+import wallkit._linalg as la
 from wallkit import (
     Embedding,
     InputError,
     IntegerLattice,
+    InternalError,
     direct_sum,
     disc_class,
     discriminant_group,
@@ -156,6 +158,17 @@ class TestSublattices:
         # span{2e} saturates to span{e}
         sat = saturation(U, ((2,), (0,)))
         assert _columns(sat) == [(1, 0)]
+
+    def test_broken_smith_identity_is_internal_error(self, monkeypatch):
+        real = la.smith_normal_form
+
+        def broken(m):  # invariant factors three times too large
+            p, d, q = real(m)
+            return p, tuple(tuple(3 * x for x in row) for row in d), q
+
+        monkeypatch.setattr(la, "smith_normal_form", broken)
+        with pytest.raises(InternalError):
+            saturation(U, ((2,), (0,)))
 
     def test_complement_pairs_to_zero(self):
         rng = random.Random(19)

@@ -8,10 +8,47 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 import wallkit._linalg as la
+from test_chambers import DIV_LATTICES, picard
+from wallkit import (
+    IntegerLattice,
+    direct_sum,
+    discriminant_group,
+    saturation,
+    standard_lattice,
+)
 
 
 def rand_matrix(rng, rows, cols, lo=-6, hi=6):
     return tuple(tuple(rng.randint(lo, hi) for _ in range(cols)) for _ in range(rows))
+
+
+def invert_unimodular(m):
+    """Inverse of a unimodular integer matrix by Fraction Gauss-Jordan.
+
+    The library read these inverses off this elimination before it read
+    them off the Smith form; it stays here as the oracle for those reads.
+    """
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        a[c], a[piv] = a[piv], a[c]
+        inv = a[c][c]
+        a[c] = [x / inv for x in a[c]]
+        for i in range(n):
+            if i != c and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    out = []
+    for i in range(n):
+        row = a[i][n:]
+        if any(x.denominator != 1 for x in row):
+            raise ValueError("matrix is not unimodular")
+        out.append(tuple(int(x) for x in row))
+    return tuple(out)
 
 
 def rand_symmetric(rng, n, lo=-5, hi=5):
@@ -112,17 +149,89 @@ class TestSolvers:
         assert sol == (Fraction(1, 2), Fraction(1, 3))
         assert la.solve_rational(((1, 1), (1, 1)), (0, 1)) is None
 
-    def test_invert_unimodular(self):
+
+def even_lattice(rank):
+    """U + U + ... (+ <-2> when the rank is odd): an even lattice of any rank."""
+    parts = [standard_lattice("U")] * (rank // 2)
+    if rank % 2:
+        parts.append(standard_lattice("rank1", -2))
+    return direct_sum(parts)
+
+
+class TestSmithInverses:
+    """Inverses read off the Smith form P M Q = D against the oracle."""
+
+    def test_oracle_inverts_unimodular(self):
         rng = random.Random(53)
         for _ in range(20):
             n = rng.randint(1, 4)
             m = rand_matrix(rng, n, n, -3, 3)
             if abs(la.bareiss_det(m)) != 1:
                 continue
-            inv = la.invert_unimodular(m)
+            inv = invert_unimodular(m)
             assert la.mat_mul(m, inv) == tuple(
                 tuple(int(i == j) for j in range(n)) for i in range(n)
             )
+
+    def test_saturation_basis_is_leading_columns_of_p_inverse(self):
+        rng = random.Random(59)
+        deficient = nontrivial = 0
+        for _ in range(80):
+            rows = rng.randint(1, 24)
+            cols = rng.randint(1, min(rows, 4) + 1)
+            r = rng.randint(1, min(rows, cols))
+            # M = X C: rank r, with invariant factors from the r x cols C
+            x = rand_matrix(rng, rows, r, -3, 3)
+            c = rand_matrix(rng, r, cols, -3, 3)
+            m = la.mat_mul(x, c)
+            L = even_lattice(rows)
+            p, d, _ = la.smith_normal_form(m)
+            rk = sum(1 for i in range(min(rows, cols)) if d[i][i])
+            if rk == 0:
+                continue
+            sat = saturation(L, m)
+            if rk == cols and all(d[i][i] == 1 for i in range(rk)):
+                assert sat.matrix == m  # primitive input keeps its basis
+                continue
+            deficient += rk < cols
+            nontrivial += any(d[i][i] > 1 for i in range(rk))
+            pinv = invert_unimodular(p)
+            assert sat.matrix == tuple(row[:rk] for row in pinv)
+        assert deficient > 10 and nontrivial > 10
+
+    @pytest.mark.parametrize(
+        "lattice",
+        [standard_lattice("Ln", n) for n in range(2, 13)]
+        + [standard_lattice("mukai"), standard_lattice("E8(-1)")],
+        ids=lambda L: L.label,
+    )
+    def test_discriminant_qinv_standard_lattices(self, lattice):
+        _, _, q = la.smith_normal_form(lattice.gram)
+        assert discriminant_group(lattice)._qinv == invert_unimodular(q)
+
+    def test_discriminant_qinv_random_even_forms(self):
+        rng = random.Random(67)
+        done = 0
+        while done < 40:
+            n = rng.randint(1, 8)
+            g = [list(row) for row in rand_symmetric(rng, n)]
+            for i in range(n):
+                g[i][i] = 2 * rng.randint(-3, 3)
+            if la.bareiss_det(g) == 0:
+                continue
+            lattice = IntegerLattice(tuple(map(tuple, g)))
+            _, _, q = la.smith_normal_form(lattice.gram)
+            assert discriminant_group(lattice)._qinv == invert_unimodular(q)
+            done += 1
+
+    @pytest.mark.parametrize("name", list(DIV_LATTICES))
+    def test_div_basis_is_scaled_q_inverse(self, name):
+        P = picard(*DIV_LATTICES[name])
+        _, d, q = la.smith_normal_form(la.mat_mul(P.ctx.ambient.gram, P.embed.matrix))
+        qinv = invert_unimodular(q)
+        assert P._div_basis == tuple(
+            tuple(d[i][i] * v for v in qinv[i]) for i in range(P.pic.rank)
+        )
 
 
 class TestSignature:

@@ -1,8 +1,10 @@
 """Wall certificates, type tables, and isometry-orbit invariants in L_n."""
 
+import json
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -258,6 +260,50 @@ class TestWallTestWitnesses:
         T = IntegerLattice(((2, 0), (0, 2)), label="pos")
         with pytest.raises(InputError):
             bm_wall_test(T, T.vector((1, 0)))
+
+
+class TestHyperbolicT:
+    @pytest.mark.parametrize("factor", [1, -1, 3, 0])
+    def test_class_proportional_to_v_rejected(self, factor):
+        ctx = make_context(3)
+        s = tuple(factor * c for c in ctx.v.coords)
+        with pytest.raises(InputError, match="span of v and s is not rank 2"):
+            hyperbolic_T(ctx, s)
+
+
+WALL_TESTS = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "wall_tests.json").read_text(
+        encoding="utf-8"
+    )
+)["cases"]
+
+
+class TestRecordedWallTests:
+    """wall_test witnesses and saturated rank-2 data recorded with the
+    Fraction inverse of the Smith transform, for every certified type's
+    witness class and a transvected copy, n = 2..10."""
+
+    @pytest.mark.parametrize(
+        "case",
+        WALL_TESTS,
+        ids=[f"n{c['n']}-{-c['square']}-{c['div']}-{c['kind']}" for c in WALL_TESTS],
+    )
+    def test_matches_recorded(self, case):
+        ctx = make_context(case["n"])
+        D = ctx.ambient.vector(case["class"])
+        assert (D.norm(), D.div()) == (case["square"], case["div"])
+        wit = wall_test(ctx, D)
+        assert wit.check()
+        assert {
+            "condition": wit.condition.value,
+            "vectors": [list(w.coords) for w in wit.vectors],
+            "pairing_data": list(wit.pairing_data),
+        } == case["witness"]
+        data = hyperbolic_T(ctx, ctx.embed.apply(D))
+        assert [list(r) for r in data.lattice.gram] == case["T_gram"]
+        assert [list(r) for r in data.embed.matrix] == case["T_embed"]
+        assert list(data.v_in_T.coords) == case["v_in_T"]
+        assert list(data.s_in_T.coords) == case["s_in_T"]
 
 
 def transvect(lattice, coords, rng):
