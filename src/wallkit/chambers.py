@@ -14,12 +14,13 @@ All questions are reduced to exact finite enumerations:
   the bracket" into another complete q_w enumeration.  When the Picard
   form splits off a hyperbolic plane over Q, walls are enumerated exactly
   from divisor pairs instead, with no height cap at all.
-* In rank >= 3 candidates are truncated at the height box (results are
-  labeled inexact), but each is decided exactly.  One double description
-  of the cone K the candidates cut out keeps those carrying a facet of K;
-  a facet is a wall when it meets omega's component of the positive cone,
-  a sup-of-quadratic question solved on the facet by a second double
-  description plus stationary points of the faces its neighbours in K cut.
+* In rank >= 3 the report is inexact: the facets of the cone K cut out by
+  the typed classes of the height box that meet omega's component of the
+  positive cone.  A wall outside the box can cut such a facet off.  One
+  integer double description of K keeps the candidates carrying a facet;
+  a facet is decided exactly, a sup-of-quadratic question solved on it by
+  a second double description plus stationary points of the faces its
+  neighbours in K cut.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
+from operator import mul
 
 from . import _linalg as la
 from .errors import ConfigurationError, InputError, InternalError, OnWallError
@@ -168,12 +170,18 @@ def _primitive_int(vec) -> tuple[int, ...]:
     fr = [Fraction(x) for x in vec]
     if all(x == 0 for x in fr):
         raise InputError("zero vector has no primitive representative")
-    mult = 1
-    for x in fr:
-        mult = mult * x.denominator // gcd(mult, x.denominator)
-    ints = [int(x * mult) for x in fr]
-    g = gcd(*ints)
-    return tuple(c // g for c in ints)
+    mult = lcm(*(x.denominator for x in fr))
+    return _primitive([int(x * mult) for x in fr])
+
+
+def _primitive(vec) -> tuple[int, ...]:
+    """A nonzero integer vector divided by the gcd of its entries."""
+    g = gcd(*vec)
+    return tuple(c // g for c in vec)
+
+
+def _dot(a, x):
+    return sum(map(mul, a, x))
 
 
 def _toward(P: PicardData, x, omega) -> tuple:
@@ -322,64 +330,54 @@ def same_chamber(P: PicardData, alpha, beta, types, max_cells=None) -> bool:
 def _dual_description(constraints, dim, budget: CellBudget):
     """Extreme rays and lineality of {x in Q^dim : a . x >= 0 for all a}.
 
-    Incremental double description over exact rationals.  Rays come back
-    as primitive integer tuples, lineality as an integer basis.
+    Incremental double description over primitive integer vectors (Fukuda
+    & Prodon, *Double description method revisited*, 1996).  Each ray
+    carries the bitmask of the constraints it lies on, and two rays are
+    combined only when adjacent: their common mask has at least
+    dim - lin - 2 bits and no third ray's mask contains it.  Rays and a
+    lineality basis come back sorted, as primitive integer tuples.
     """
-    lineality: list[tuple[Fraction, ...]] = [
-        tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)
-    ]
-    rays: list[tuple[Fraction, ...]] = []
-    seen: list[tuple] = []
-
-    def dot(a, x):
-        return sum(Fraction(ai) * xi for ai, xi in zip(a, x))
-
-    for a in constraints:
+    lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays: list[tuple[tuple[int, ...], int]] = []  # (ray, incidence mask)
+    for k, a in enumerate(constraints):
         budget.spend()
-        seen.append(a)
-        l0 = next((l for l in lineality if dot(a, l) != 0), None)
-        if l0 is not None:
-            if dot(a, l0) < 0:
-                l0 = tuple(-x for x in l0)
-            d0 = dot(a, l0)
-            lineality = [
-                tuple(x - dot(a, l) / d0 * y for x, y in zip(l, l0))
-                for l in lineality
-                if l != l0 and tuple(-x for x in l) != l0
-            ]
-            rays = [
-                tuple(x - dot(a, r) / d0 * y for x, y in zip(r, l0)) for r in rays
-            ]
-            rays.append(l0)
+        bit = 1 << k
+        j = next((i for i, l in enumerate(lineality) if _dot(a, l)), None)
+        if j is not None:
+            l0 = lineality.pop(j)
+            d0 = _dot(a, l0)
+            if d0 < 0:
+                l0, d0 = tuple(-x for x in l0), -d0
+
+            def project(x):  # onto a-perp along l0, without division
+                ax = _dot(a, x)
+                return _primitive([d0 * xi - ax * yi for xi, yi in zip(x, l0)])
+
+            lineality = [project(l) for l in lineality]
+            rays = [(project(r), m | bit) for r, m in rays]
+            rays.append((l0, bit - 1))
             continue
-        vals = [dot(a, r) for r in rays]
-        plus = [r for r, v in zip(rays, vals) if v > 0]
-        zero = [r for r, v in zip(rays, vals) if v == 0]
-        minus = [r for r, v in zip(rays, vals) if v < 0]
-        if not minus:
-            continue
-        combos = []
-        for rp in plus:
-            vp = dot(a, rp)
-            for rm in minus:
+        vals = [_dot(a, r) for r, _ in rays]
+        masks = [m for _, m in rays]
+        plus = [(i, r, m, v) for i, ((r, m), v) in enumerate(zip(rays, vals)) if v > 0]
+        minus = [(i, r, m, v) for i, ((r, m), v) in enumerate(zip(rays, vals)) if v < 0]
+        need = dim - len(lineality) - 2
+        children = []
+        for ip, rp, mp, vp in plus:
+            for im, rm, mm, vm in minus:
                 budget.spend()
-                vm = dot(a, rm)
-                comb = tuple(vp * xm - vm * xp for xp, xm in zip(rp, rm))
-                combos.append(comb)
-        lin_rank = len(lineality)
-        keep = {}
-        for r in plus + zero + combos:
-            key = _primitive_int(r) if any(r) else None
-            if key is None or key in keep:
-                continue
-            active = [c for c in seen if dot(c, r) == 0]
-            # extreme iff active constraints cut r down to a single ray
-            if la.rank(active) >= dim - lin_rank - 1:
-                keep[key] = tuple(Fraction(x) for x in key)
-        rays = list(keep.values())
-    out_rays = sorted(_primitive_int(r) for r in rays)
-    out_lin = sorted(_primitive_int(l) for l in lineality)
-    return out_rays, out_lin
+                common = mp & mm
+                if common.bit_count() < need or any(
+                    m & common == common for i, m in enumerate(masks) if i != ip and i != im
+                ):
+                    continue
+                child = _primitive([vp * xm - vm * xp for xp, xm in zip(rp, rm)])
+                if _dot(a, child):
+                    raise InternalError("double description child ray off its constraint")
+                children.append((child, common | bit))
+        rays = [(r, m | bit if v == 0 else m) for (r, m), v in zip(rays, vals) if v >= 0]
+        rays += children
+    return sorted(r for r, _ in rays), sorted(lineality)
 
 
 # --------------------------------------- sup of a quadratic over a cone > 0?
@@ -515,22 +513,43 @@ def _check_on_wall(P: PicardData, omega, lookup):
             )
 
 
+def _last_coordinates(a, b, c, bound):
+    """Integers t in [-bound, bound] with a t^2 + 2 b t + c = 0."""
+    if a == 0:
+        if b == 0:
+            return range(-bound, bound + 1) if c == 0 else ()
+        t, rem = divmod(-c, 2 * b)
+        return (t,) if rem == 0 and -bound <= t <= bound else ()
+    disc = b * b - a * c
+    if disc < 0 or isqrt(disc) ** 2 != disc:
+        return ()
+    r = isqrt(disc)
+    return [t // a for t in (-b + r, -b - r) if t % a == 0 and -bound <= t // a <= bound]
+
+
 def _box_candidates(P: PicardData, omega, lookup, bound, budget):
     """Type-matching primitive classes with coordinates in [-bound, bound],
-    oriented toward omega.  Assumes the on-wall check already ran."""
+    oriented toward omega, in box order.  Assumes the on-wall check ran.
+    Each square is solved for the last coordinate given the others."""
     n = P.pic.rank
-    side = _primitive_int(la.mat_vec(P.pic.gram, omega))  # (x, omega) > 0 iff side . x > 0
+    gram = P.pic.gram
+    side = _primitive_int(la.mat_vec(gram, omega))  # (x, omega) > 0 iff side . x > 0
     budget.spend((2 * bound + 1) ** n)
     out = {}
-    for x in itertools.product(range(-bound, bound + 1), repeat=n):
-        if not any(x) or gcd(*x) != 1:
-            continue
-        t = _match_type(P, x, lookup)
-        if t is None:
-            continue
-        if sum(h * c for h, c in zip(side, x)) < 0:
-            x = tuple(-c for c in x)
-        out[x] = t
+    for head in itertools.product(range(-bound, bound + 1), repeat=n - 1):
+        gh = [_dot(row, head) for row in gram]  # gram rows against (head, 0)
+        b, q = gh[-1], _dot(head, gh)
+        roots = {t for s in lookup for t in _last_coordinates(gram[-1][-1], b, q - s, bound)}
+        for t in sorted(roots):
+            x = (*head, t)
+            if not any(x) or gcd(*x) != 1:
+                continue
+            wt = _match_type(P, x, lookup)
+            if wt is None:
+                continue
+            if _dot(side, x) < 0:
+                x = tuple(-c for c in x)
+            out[x] = wt
     return out
 
 
@@ -673,8 +692,9 @@ def _support_general(P, omega, lookup, bound, budget):
     gram = P.pic.gram
     rank = P.pic.rank
     order = sorted(cands)
-    rays, lin = _dual_description([la.mat_vec(gram, y) for y in order], rank, budget)
-    incident = {y: {r for r in rays if P.pic.inner(y, r) == 0} for y in order}
+    gy = {y: la.mat_vec(gram, y) for y in order}
+    rays, lin = _dual_description([gy[y] for y in order], rank, budget)
+    incident = {y: {r for r in rays if _dot(gy[y], r) == 0} for y in order}
 
     def face_dim(face_rays):
         return la.rank([*face_rays, *lin])
@@ -686,17 +706,14 @@ def _support_general(P, omega, lookup, bound, budget):
         others = [y for y in cands if y != x]
         # fast path: the orthogonal projection of omega often certifies
         xsq = P.pic.norm(x)
-        proj = tuple(
-            w - _pair(P, omega, x) / xsq * Fraction(c)
-            for w, c in zip(omega, x)
+        proj = _primitive_int(
+            w - _pair(P, omega, x) / xsq * c for w, c in zip(omega, x)
         )
-        if all(P.pic.inner(y, proj) > 0 for y in others):
-            walls.append(
-                Wall(D=P.pic.vector(x), wall_type=t, certificate=_primitive_int(proj))
-            )
+        if all(_dot(gy[y], proj) > 0 for y in others):
+            walls.append(Wall(D=P.pic.vector(x), wall_type=t, certificate=proj))
             continue
         # exact facet decision on W = x-perp inside pic
-        basis = la.kernel_basis([la.mat_vec(gram, x)])
+        basis = la.kernel_basis([gy[x]])
         bmat = la.transpose(basis)  # pic coords of W basis, as columns
         to_w = la.mat_mul(basis, gram)  # v -> the form (v, .) in W coordinates
         gw = la.mat_mul(to_w, bmat)
@@ -725,7 +742,7 @@ def _support_general(P, omega, lookup, bound, budget):
         else:
             raise InternalError("no strict certificate near the facet witness")
         cert = _primitive_int(la.mat_vec(bmat, witness))
-        if not all(P.pic.inner(y, cert) > 0 for y in others):
+        if not all(_dot(gy[y], cert) > 0 for y in others):
             raise InternalError(f"certificate {cert} misses a candidate wall")
         walls.append(Wall(D=P.pic.vector(x), wall_type=t, certificate=cert))
     return walls, False
@@ -739,7 +756,10 @@ def supporting_walls_report(
     Every reported wall comes with an exact certificate class.  `exact`
     is True when the wall list is provably complete (always in rank 1;
     in rank 2 when the form splits or both sides of omega were bracketed
-    and closed off); rank >= 3 lists are complete up to the search box.
+    and closed off).  A rank >= 3 list is the facets of the cone cut out
+    by the typed classes in the box [-search_bound, search_bound]^rank
+    that meet omega's component of the positive cone; it can include
+    classes that are not walls of omega's true chamber.
     Raises OnWallError when omega lies on a candidate wall.
     """
     om = _fracs(P, omega)

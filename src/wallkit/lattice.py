@@ -411,7 +411,7 @@ def saturation(lattice: IntegerLattice, sub) -> Embedding:
     # M Q = P^-1 D, so column i < rk of P^-1 is column i of M Q over d_i
     mq = la.transpose(la.mat_mul(matrix, q))
     basis = tuple(_exact_quotient(mq[i], d[i][i]) for i in range(rk))
-    matrix_sat = la.transpose(basis)
+    matrix_sat = la.transpose(basis) if basis else tuple(() for _ in range(lattice.rank))
     induced = la.mat_mul(la.mat_mul(basis, lattice.gram), la.transpose(basis))
     sat = IntegerLattice(induced, label="saturation")
     return Embedding(source=sat, target=lattice, matrix=matrix_sat)

@@ -35,8 +35,10 @@ from wallkit import (
     supporting_walls_report,
     walls_between,
 )
+import wallkit._linalg as la
 from wallkit import chambers
 from wallkit.chambers import MAX_PICARD_RANK
+from wallkit.shortvec import CellBudget
 from wallkit.formats import parse_chamber_query
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -245,6 +247,60 @@ class TestDivOf:
     def test_zero_class_rejected(self):
         with pytest.raises(InputError):
             rank3_data().div_of((0, 0, 0))
+
+
+# ------------------------------------------------------------ box candidates
+
+
+def box_candidates_by_cell(P, omega, lookup, bound, budget):
+    """The candidate scan that matched the type of every cell of the box;
+    the oracle for the scan that solves for the last coordinate."""
+    n = P.pic.rank
+    side = chambers._primitive_int(la.mat_vec(P.pic.gram, omega))
+    budget.spend((2 * bound + 1) ** n)
+    out = {}
+    for x in itertools.product(range(-bound, bound + 1), repeat=n):
+        if not any(x) or gcd(*x) != 1:
+            continue
+        t = chambers._match_type(P, x, lookup)
+        if t is None:
+            continue
+        if sum(h * c for h, c in zip(side, x)) < 0:
+            x = tuple(-c for c in x)
+        out[x] = t
+    return out
+
+
+BOX_LATTICES = {
+    **DIV_LATTICES,
+    # isotropic last basis vector: the square is linear in the last
+    # coordinate, and constant along it when the head is (+-1, 0)
+    "last-isotropic": (2, [[-2, 0, 0], [0, 0, 1], [0, 1, 0]], [{22: 1}, {0: 1}, {1: 1}]),
+    "U": (2, [[0, 1], [1, 0]], [{0: 1}, {1: 1}]),
+}
+
+
+class TestBoxCandidates:
+    @pytest.mark.parametrize("name", list(BOX_LATTICES))
+    def test_matches_cell_scan_in_order(self, name):
+        P = picard(*BOX_LATTICES[name])
+        lookup = chambers._type_lookup(certified_wall_types(P.ctx))
+        omega = tuple(Fraction(k + 2, k + 1) for k in range(P.pic.rank))
+        found = 0
+        for bound in (1, 2, 3) if P.pic.rank < 5 else (1, 2):
+            new, old = CellBudget(), CellBudget()
+            got = chambers._box_candidates(P, omega, lookup, bound, new)
+            want = box_candidates_by_cell(P, omega, lookup, bound, old)
+            assert list(got.items()) == list(want.items())
+            assert new.used == old.used
+            found += len(got)
+        assert found > 0
+
+    def test_last_coordinates_match_brute_force(self):
+        for a, b, c in itertools.product(range(-3, 4), range(-3, 4), range(-9, 10)):
+            assert sorted(set(chambers._last_coordinates(a, b, c, 4))) == [
+                t for t in range(-4, 5) if a * t * t + 2 * b * t + c == 0
+            ], (a, b, c)
 
 
 # ------------------------------------------------------------ wall membership

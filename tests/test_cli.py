@@ -5,12 +5,19 @@ import json
 import os
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
-from test_chambers import flip_first_certificate
+from test_chambers import (
+    RANK4_COLS,
+    RANK4_GRAM,
+    RANK5_COLS,
+    RANK5_GRAM,
+    flip_first_certificate,
+)
 from wallkit import chambers, cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -399,6 +406,25 @@ class TestChamber:
         assert code == 0
         assert err == ""
         assert out == (GOLDEN / f"chamber_{name}_{fmt}.txt").read_text(encoding="utf-8")
+
+    # ROADMAP's rank-4 and rank-5 baselines; stdout recorded before the
+    # integer double description.  None is the default bound (12).
+    @pytest.mark.parametrize(
+        "name, rank, bound",
+        [("rk4_b8", 4, 8), ("rk4_b12", 4, None), ("rk5_b2", 5, 2), ("rk5_b4", 5, 4)],
+    )
+    def test_big_golden_stdout_within_gate(self, capsys, name, rank, bound):
+        gram, cols = {4: (RANK4_GRAM, RANK4_COLS), 5: (RANK5_GRAM, RANK5_COLS)}[rank]
+        omega = ["7", "4", "1/3", "1/4", "1/5"][:rank]
+        extra = {} if bound is None else {"bound": bound}
+        query = chamber_query(gram, cols, omega, n=3, **extra)
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "chamber", "--format", "json", "--input", query)
+        elapsed = time.perf_counter() - t0
+        assert code == 0
+        assert err == ""
+        assert out == (GOLDEN / f"chamber_{name}_json.txt").read_text(encoding="utf-8")
+        assert elapsed < 10, f"{name} took {elapsed:.1f} s against a 10 s gate"
 
 
 # ------------------------------------------------------------------- verify

@@ -175,7 +175,7 @@ class TestSmithInverses:
 
     def test_saturation_basis_is_leading_columns_of_p_inverse(self):
         rng = random.Random(59)
-        deficient = nontrivial = 0
+        deficient = nontrivial = zero = 0
         for _ in range(80):
             rows = rng.randint(1, 24)
             cols = rng.randint(1, min(rows, 4) + 1)
@@ -187,9 +187,11 @@ class TestSmithInverses:
             L = even_lattice(rows)
             p, d, _ = la.smith_normal_form(m)
             rk = sum(1 for i in range(min(rows, cols)) if d[i][i])
-            if rk == 0:
-                continue
             sat = saturation(L, m)
+            if rk == 0:
+                assert sat.source.rank == 0 and sat.matrix == ((),) * rows
+                zero += 1
+                continue
             if rk == cols and all(d[i][i] == 1 for i in range(rk)):
                 assert sat.matrix == m  # primitive input keeps its basis
                 continue
@@ -197,7 +199,7 @@ class TestSmithInverses:
             nontrivial += any(d[i][i] > 1 for i in range(rk))
             pinv = invert_unimodular(p)
             assert sat.matrix == tuple(row[:rk] for row in pinv)
-        assert deficient > 10 and nontrivial > 10
+        assert deficient > 10 and nontrivial > 10 and zero > 0
 
     @pytest.mark.parametrize(
         "lattice",
