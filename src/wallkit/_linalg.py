@@ -4,7 +4,9 @@ Everything in this module is exact: matrices are tuples of tuples with
 ``int`` or ``fractions.Fraction`` entries, and no routine ever touches
 floating point.  Row/column index conventions follow the usual
 mathematician's reading: ``M[i][j]`` is row ``i``, column ``j``; vectors
-are plain tuples and are treated as columns.
+are plain tuples and are treated as columns.  The products skip the zero
+entries of the vector (of the left row, in ``mat_mul``), so a sparse class
+in a rank-24 lattice costs rows times nonzeros, not rows times columns.
 """
 
 from __future__ import annotations
@@ -24,20 +26,30 @@ def transpose(m: Sequence[Sequence]) -> tuple:
     return tuple(zip(*[tuple(r) for r in m])) if m else ()
 
 
+def _nonzero(v: Sequence) -> list:
+    return [(j, x) for j, x in enumerate(v) if x]
+
+
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    ncols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * ncols
+        for k, x in _nonzero(row):
+            acc = [s + x * y for s, y in zip(acc, b[k])]
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_vec(a: Sequence[Sequence], v: Sequence) -> tuple:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    nz = _nonzero(v)
+    return tuple(sum(row[j] * x for j, x in nz) for row in a)
 
 
 def vec_mat_vec(x: Sequence, a: Sequence[Sequence], y: Sequence):
     """x^T A y, exactly."""
-    return sum(xi * sum(aij * yj for aij, yj in zip(row, y)) for xi, row in zip(x, a))
+    nz = _nonzero(y)
+    return sum(xi * sum(a[i][j] * yj for j, yj in nz) for i, xi in _nonzero(x))
 
 
 def bareiss_det(m: Sequence[Sequence[int]]) -> int:
@@ -170,24 +182,6 @@ def kernel_basis(m: Sequence[Sequence[int]]) -> tuple[IntVector, ...]:
     rank = sum(1 for i in range(min(nr, nc)) if d[i][i] != 0)
     cols = transpose(q)
     return tuple(cols[j] for j in range(rank, nc))
-
-
-def solve_int(m: Sequence[Sequence[int]], b: Sequence[int]) -> IntVector | None:
-    """One integer solution of M x = b, or None if none exists."""
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    p, d, q = smith_normal_form(m)
-    pb = mat_vec(p, b)
-    y = [0] * nc
-    for i in range(nr):
-        di = d[i][i] if i < min(nr, nc) else 0
-        if di:
-            if pb[i] % di:
-                return None
-            y[i] = pb[i] // di
-        elif pb[i] != 0:
-            return None
-    return mat_vec(q, y)
 
 
 def solve_rational(m: Sequence[Sequence], b: Sequence) -> tuple[Fraction, ...] | None:

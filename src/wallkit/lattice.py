@@ -86,8 +86,8 @@ class IntegerLattice:
     def norm(self, x: Sequence):
         return self.inner(x, x)
 
-    def vector(self, coords: Sequence[int]) -> "LatticeVector":
-        return LatticeVector(self, tuple(int(c) for c in coords))
+    def vector(self, coords: "LatticeVector | Sequence[int]") -> "LatticeVector":
+        return LatticeVector(self, _coords_in(self, coords))
 
     def basis_vector(self, i: int) -> "LatticeVector":
         return self.vector(tuple(int(j == i) for j in range(self.rank)))
@@ -141,6 +141,18 @@ class LatticeVector:
         return self + (-other)
 
 
+def _coords_in(lattice: IntegerLattice, v) -> tuple[int, ...]:
+    """Integer coordinates of v, checked to belong to `lattice`."""
+    if isinstance(v, LatticeVector):
+        if v.lattice != lattice:
+            raise InputError("vector belongs to a different lattice")
+        return v.coords
+    coords = tuple(int(x) for x in v)
+    if len(coords) != lattice.rank:
+        raise InputError("vector length does not match lattice rank")
+    return coords
+
+
 @dataclass(frozen=True)
 class Embedding:
     """An isometric embedding source -> target.
@@ -167,18 +179,13 @@ class Embedding:
             raise InputError("embedding does not respect the Gram matrices")
 
     def apply(self, v: "LatticeVector | Sequence[int]") -> LatticeVector:
-        coords = v.coords if isinstance(v, LatticeVector) else tuple(v)
+        coords = _coords_in(self.source, v)
         return LatticeVector(self.target, la.mat_vec(self.matrix, coords))
 
     def is_primitive(self) -> bool:
         """True when the image is a saturated (primitive) sublattice."""
         diag = la.snf_diagonal(self.matrix)
         return all(d == 1 for d in diag)
-
-    def preimage(self, v: "LatticeVector | Sequence[int]") -> LatticeVector | None:
-        coords = v.coords if isinstance(v, LatticeVector) else tuple(v)
-        sol = la.solve_int(self.matrix, coords)
-        return None if sol is None else LatticeVector(self.source, sol)
 
 
 def signature(lattice: IntegerLattice) -> tuple[int, int]:
@@ -253,7 +260,7 @@ def standard_lattice(name: str, param: int | None = None) -> IntegerLattice:
 
 def divisibility(lattice: IntegerLattice, v: Sequence[int]) -> int:
     """div(v) = positive generator of the pairing ideal (v, L)."""
-    coords = v.coords if isinstance(v, LatticeVector) else tuple(int(x) for x in v)
+    coords = _coords_in(lattice, v)
     pairings = la.mat_vec(lattice.gram, coords)
     d = gcd(*pairings) if any(pairings) else 0
     if d == 0:
@@ -262,7 +269,7 @@ def divisibility(lattice: IntegerLattice, v: Sequence[int]) -> int:
 
 
 def is_primitive(lattice: IntegerLattice, v: Sequence[int]) -> bool:
-    coords = v.coords if isinstance(v, LatticeVector) else tuple(int(x) for x in v)
+    coords = _coords_in(lattice, v)
     return any(coords) and gcd(*coords) == 1
 
 
@@ -307,7 +314,7 @@ class DiscriminantGroup:
 
     def class_of(self, v: Sequence[int], m: int) -> tuple[int, ...]:
         """Exponent tuple of [v/m] in A_L; InputError if v/m is not dual."""
-        coords = v.coords if isinstance(v, LatticeVector) else tuple(int(x) for x in v)
+        coords = _coords_in(self.lattice, v)
         if m <= 0:
             raise InputError("denominator must be positive")
         u = la.mat_vec(self._qinv, coords)
@@ -369,17 +376,10 @@ def orthogonal_complement(
     lattice: IntegerLattice, vectors: Sequence[Sequence[int]]
 ) -> Embedding:
     """Embedding of {x in L : (x, v_i) = 0 for all i}, saturated by construction."""
-    rows = []
-    for v in vectors:
-        coords = v.coords if isinstance(v, LatticeVector) else tuple(int(x) for x in v)
-        if len(coords) != lattice.rank:
-            raise InputError("vector length does not match lattice rank")
-        rows.append(la.mat_vec(lattice.gram, coords))
-    basis = la.kernel_basis(tuple(rows))
-    matrix = la.transpose(basis)
-    if not basis:
-        matrix = tuple(() for _ in range(lattice.rank))
-    induced = la.mat_mul(la.mat_mul(basis, lattice.gram), la.transpose(basis)) if basis else ()
+    rows = tuple(la.mat_vec(lattice.gram, _coords_in(lattice, v)) for v in vectors)
+    basis = la.kernel_basis(rows)
+    matrix = la.transpose(basis) if basis else tuple(() for _ in range(lattice.rank))
+    induced = la.mat_mul(la.mat_mul(basis, lattice.gram), matrix)
     sub = IntegerLattice(induced, label=f"({lattice.label or 'L'})-perp")
     return Embedding(source=sub, target=lattice, matrix=matrix)
 
@@ -394,24 +394,33 @@ def saturation(lattice: IntegerLattice, sub) -> Embedding:
     if isinstance(sub, Embedding):
         if sub.target != lattice:
             raise InputError("embedding target does not match lattice")
-        matrix = sub.matrix
-    else:
-        matrix = tuple(tuple(int(x) for x in row) for row in sub)
-        if len(matrix) != lattice.rank:
-            raise InputError("sublattice matrix must have one row per lattice coordinate")
+        sat, _ = _saturate(lattice, sub.matrix)
+        return sub if sat.matrix == sub.matrix else sat
+    matrix = tuple(tuple(int(x) for x in row) for row in sub)
+    if len(matrix) != lattice.rank:
+        raise InputError("sublattice matrix must have one row per lattice coordinate")
+    return _saturate(lattice, matrix)[0]
+
+
+def _saturate(lattice: IntegerLattice, matrix) -> tuple[Embedding, la.IntMatrix]:
+    """Saturation of the column span of `matrix`, and the columns in its
+    basis: (emb, coords) with `matrix` = emb.matrix * coords.
+
+    A primitive `matrix` is its own basis and coords is the identity.
+    Otherwise P M Q = D gives M = P^-1 D Q^-1: the basis is the leading
+    rk columns of P^-1 (column i of M Q over d_i), and coords is the
+    leading rk rows of P M = D Q^-1.
+    """
     ncols = len(matrix[0]) if matrix else 0
-    _, d, q = la.smith_normal_form(matrix)
+    p, d, q = la.smith_normal_form(matrix)
     rk = sum(1 for i in range(min(lattice.rank, ncols)) if d[i][i] != 0)
     if rk == ncols and all(d[i][i] == 1 for i in range(rk)):
-        if isinstance(sub, Embedding):
-            return sub
-        cols = la.transpose(matrix)
-        induced = la.mat_mul(la.mat_mul(cols, lattice.gram), la.transpose(cols))
-        return Embedding(IntegerLattice(induced), lattice, matrix)
-    # M Q = P^-1 D, so column i < rk of P^-1 is column i of M Q over d_i
-    mq = la.transpose(la.mat_mul(matrix, q))
-    basis = tuple(_exact_quotient(mq[i], d[i][i]) for i in range(rk))
+        basis, label = la.transpose(matrix), None
+        coords = tuple(tuple(int(i == j) for j in range(ncols)) for i in range(ncols))
+    else:
+        mq = la.transpose(la.mat_mul(matrix, q))
+        basis, label = tuple(_exact_quotient(mq[i], d[i][i]) for i in range(rk)), "saturation"
+        coords = la.mat_mul(p[:rk], matrix)
     matrix_sat = la.transpose(basis) if basis else tuple(() for _ in range(lattice.rank))
-    induced = la.mat_mul(la.mat_mul(basis, lattice.gram), la.transpose(basis))
-    sat = IntegerLattice(induced, label="saturation")
-    return Embedding(source=sat, target=lattice, matrix=matrix_sat)
+    induced = la.mat_mul(la.mat_mul(basis, lattice.gram), matrix_sat)
+    return Embedding(IntegerLattice(induced, label=label), lattice, matrix_sat), coords

@@ -33,18 +33,23 @@ DEFAULT_MAX_CELLS = 10**8
 
 def configured_max_cells() -> int:
     env = os.environ.get("WALLKIT_MAX_CELLS")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InputError(f"WALLKIT_MAX_CELLS must be an integer, got {env!r}") from exc
-    return DEFAULT_MAX_CELLS
+    if not env:
+        return DEFAULT_MAX_CELLS
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap <= 0:
+        raise InputError(f"WALLKIT_MAX_CELLS must be a positive integer, got {env!r}")
+    return cap
 
 
 class CellBudget:
     """Counts enumeration cells and trips when the cap is exceeded."""
 
     def __init__(self, max_cells: int | None = None):
+        if max_cells is not None and max_cells <= 0:
+            raise InputError(f"max_cells must be a positive integer, got {max_cells}")
         self.max_cells = configured_max_cells() if max_cells is None else max_cells
         self.used = 0
 

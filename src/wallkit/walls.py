@@ -25,10 +25,10 @@ from .lattice import (
     Embedding,
     IntegerLattice,
     LatticeVector,
+    _saturate,
     disc_class,
     discriminant_group,
     divisibility,
-    saturation,
     standard_lattice,
 )
 
@@ -132,9 +132,6 @@ class WallType:
     def ray_square(self) -> Fraction:
         return Fraction(self.square, self.div * self.div)
 
-    def sort_key(self):
-        return (self.div, -self.square)
-
 
 class WallCondition(Enum):
     MK_MINUS2 = "MK_minus2"
@@ -202,21 +199,13 @@ class WallWitness:
         raise InputError(f"unknown wall condition {c}")
 
 
-def _as_vector(lattice: IntegerLattice, v) -> LatticeVector:
-    if isinstance(v, LatticeVector):
-        if v.lattice != lattice:
-            raise InputError("vector belongs to a different lattice")
-        return v
-    return lattice.vector(v)
-
-
 def isotropic_pair(ctx: NContext, D) -> tuple[LatticeVector, LatticeVector]:
     """Primitive isotropic parts of v + D and v - D (D of square 2 - 2n).
 
     Both are isotropic because (v +- D)^2 = v^2 + D^2 = 0; the returned
     classes pair positively with v.
     """
-    D = _as_vector(ctx.ambient, D)
+    D = ctx.ambient.vector(D)
     if D.norm() != 2 - 2 * ctx.n:
         raise InputError("isotropic pair requires a class of square 2-2n")
     if not D.is_primitive():
@@ -237,7 +226,7 @@ def markman_wall_test(ctx: NContext, D) -> WallWitness | None:
     with (n-1) | div whose isotropic partner pairs 1 or 2 with v.  A None
     result is *not* a proof that D supports no wall; run the rank-2 test.
     """
-    D = _as_vector(ctx.ambient, D)
+    D = ctx.ambient.vector(D)
     if not D.is_primitive():
         raise InputError("wall tests take primitive classes")
     s = D.norm()
@@ -271,14 +260,12 @@ class RankTwoData:
 def hyperbolic_T(ctx: NContext, s) -> RankTwoData:
     """Saturation of span{v, s} in the extension, with v and s rewritten
     in its basis.  InputError when s is proportional to v."""
-    s = _as_vector(ctx.mukai, s)
-    cols = tuple((a, b) for a, b in zip(ctx.v.coords, s.coords))
-    emb = saturation(ctx.mukai, cols)
+    s = ctx.mukai.vector(s)
+    emb, coords = _saturate(ctx.mukai, tuple(zip(ctx.v.coords, s.coords)))
     if emb.source.rank < 2:
         raise InputError("span of v and s is not rank 2")
-    v_in = emb.preimage(ctx.v)
-    s_in = emb.preimage(s)
-    if v_in is None or s_in is None:
+    v_in, s_in = (emb.source.vector(c) for c in zip(*coords))
+    if emb.apply(v_in) != ctx.v or emb.apply(s_in) != s:
         raise InternalError("saturation lost the spanning classes")
     return RankTwoData(lattice=emb.source, embed=emb, v_in_T=v_in, s_in_T=s_in)
 
@@ -349,7 +336,7 @@ def bm_wall_test(T: IntegerLattice, v_in_T: LatticeVector) -> WallWitness | None
         raise InputError("bm_wall_test expects a rank-2 lattice")
     if la.bareiss_det(T.gram) >= 0:
         raise InputError("bm_wall_test expects det(T) < 0")
-    v = _as_vector(T, v_in_T)
+    v = T.vector(v_in_T)
     vsq = v.norm()
     if vsq <= 0:
         raise InputError("bm_wall_test expects v^2 > 0")
@@ -425,7 +412,7 @@ def wall_test(ctx: NContext, D) -> WallWitness | None:
     reported in extension coordinates.  None means: no certificate
     exists, i.e. D does not support a wall.
     """
-    D = _as_vector(ctx.ambient, D)
+    D = ctx.ambient.vector(D)
     mk = markman_wall_test(ctx, D)
     if mk is not None:
         return mk
@@ -490,6 +477,22 @@ def _admissible_residues(period: int, div: int) -> dict[int, int]:
     return table
 
 
+def _typed_witnesses(ctx: NContext):
+    """(WallType, witness class) for each candidate wall type at level n,
+    in (div, |square|) order: divisors ascending, squares descending."""
+    n = ctx.n
+    period = 2 * n - 2
+    for m in range(1, period + 1):
+        if period % m:
+            continue
+        s = -2
+        while 2 * s + (n + 3) * m * m >= 0:
+            exists, D = wall_type_exists(ctx, s, m)
+            if exists:
+                yield WallType(square=s, div=m), D
+            s -= 2
+
+
 def enumerate_wall_types(ctx: NContext) -> tuple[WallType, ...]:
     """Candidate wall types at level n, sorted by (div, |square|).
 
@@ -497,31 +500,13 @@ def enumerate_wall_types(ctx: NContext) -> tuple[WallType, ...]:
     square bound.  For n <= 4 this list is exactly the set of wall types;
     for n >= 5 it is an upper bound (see `certified_wall_types`).
     """
-    n = ctx.n
-    period = 2 * n - 2
-    out = []
-    for m in range(1, period + 1):
-        if period % m:
-            continue
-        s = -2
-        while 2 * s + (n + 3) * m * m >= 0:
-            exists, _ = wall_type_exists(ctx, s, m)
-            if exists:
-                out.append(WallType(square=s, div=m))
-            s -= 2
-    out.sort(key=WallType.sort_key)
-    return tuple(out)
+    return tuple(t for t, _ in _typed_witnesses(ctx))
 
 
 def certified_wall_types(ctx: NContext) -> tuple[WallType, ...]:
     """Candidate types whose witness class carries a verified wall
     certificate.  Coincides with `enumerate_wall_types` for n <= 4."""
-    out = []
-    for t in enumerate_wall_types(ctx):
-        _, witness_class = wall_type_exists(ctx, t.square, t.div)
-        if witness_class is not None and wall_test(ctx, witness_class) is not None:
-            out.append(t)
-    return tuple(out)
+    return tuple(t for t, D in _typed_witnesses(ctx) if wall_test(ctx, D) is not None)
 
 
 @dataclass(frozen=True)
@@ -537,7 +522,7 @@ class OrbitInvariants:
 
 
 def eichler_invariants(lattice: IntegerLattice, v) -> OrbitInvariants:
-    v = _as_vector(lattice, v)
+    v = lattice.vector(v)
     if not v.is_primitive():
         raise InputError("orbit invariants take primitive classes")
     d = divisibility(lattice, v.coords)
@@ -574,8 +559,8 @@ def eichler_transvection(lattice: IntegerLattice, e, a) -> tuple[tuple[int, ...]
     for isotropic e and a orthogonal to e.  The result is verified to be
     an isometry before it is returned.
     """
-    e = _as_vector(lattice, e)
-    a = _as_vector(lattice, a)
+    e = lattice.vector(e)
+    a = lattice.vector(a)
     if e.norm() != 0:
         raise InputError("transvection base class must be isotropic")
     if e.inner(a) != 0:
@@ -601,7 +586,7 @@ def eichler_transvection(lattice: IntegerLattice, e, a) -> tuple[tuple[int, ...]
 
 def dual_ray(ctx: NContext, D) -> tuple[Fraction, ...]:
     """The ray D / div(D) in L_n x Q; its square is D^2 / div^2."""
-    D = _as_vector(ctx.ambient, D)
+    D = ctx.ambient.vector(D)
     if not D.is_primitive():
         raise InputError("dual rays are taken for primitive classes")
     d = D.div()

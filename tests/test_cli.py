@@ -185,6 +185,18 @@ class TestTabulate:
         assert code == 2
         assert "error:" in err
 
+    # stdout recorded before the sparse kernels and the Smith-form reads
+    # of `hyperbolic_T`; every certified row runs the rank-2 wall test.
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_certified_json_golden_stdout(self, capsys, n):
+        code, out, err = run(
+            capsys, "tabulate", "--n", str(n), "--certified", "--format", "json"
+        )
+        assert code == 0
+        assert err == ""
+        golden = GOLDEN / f"tabulate_n{n}_certified_json.txt"
+        assert out == golden.read_text(encoding="utf-8")
+
 
 # ---------------------------------------------------------------- wall-test
 
@@ -357,6 +369,14 @@ class TestChamber:
         assert code == 2
         assert "cell cap" in err
 
+    @pytest.mark.parametrize("env", ["0", "-3"])
+    def test_nonpositive_budget_env_rejected(self, capsys, monkeypatch, env):
+        monkeypatch.setenv("WALLKIT_MAX_CELLS", env)
+        code, out, err = run(capsys, "chamber", "--format", "json", "--input", RK3_QUERY())
+        assert code == 2
+        assert out == ""
+        assert "WALLKIT_MAX_CELLS must be a positive integer" in err
+
     def test_invalid_query(self, capsys):
         code, _, err = run(capsys, "chamber", "--input", '{"n": 2}')
         assert code == 2
@@ -456,6 +476,12 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--fixture", "bogus")
         assert code == 2
         assert "unknown fixture" in err
+
+    def test_verify_json_golden_stdout(self, capsys):
+        code, out, err = run(capsys, "verify", "--format", "json")
+        assert code == 0
+        assert err == ""
+        assert out == (GOLDEN / "verify_json.txt").read_text(encoding="utf-8")
 
 
 # ------------------------------------------------------------- determinism

@@ -16,6 +16,7 @@ from wallkit import (
     disc_class,
     discriminant_group,
     divisibility,
+    make_context,
     orthogonal_complement,
     saturation,
     signature,
@@ -84,6 +85,16 @@ class TestVectors:
         assert divisibility(L, delta) == 4
         root = tuple(1 if i == 0 else (-1 if i == 1 else 0) for i in range(23))
         assert divisibility(L, root) == 1
+
+    @pytest.mark.parametrize("coords", [(1, 1), (1,) * 22, (1,) * 24])
+    def test_divisibility_rejects_wrong_length(self, coords):
+        with pytest.raises(InputError, match="vector length does not match lattice rank"):
+            divisibility(standard_lattice("Ln", 3), coords)
+
+    def test_divisibility_rejects_vector_of_another_lattice(self):
+        v = standard_lattice("mukai").basis_vector(0)
+        with pytest.raises(InputError, match="vector belongs to a different lattice"):
+            divisibility(standard_lattice("Ln", 3), v)
 
 
 class TestDirectSum:
@@ -192,3 +203,15 @@ class TestEmbedding:
         bad_src = standard_lattice("rank1", -2)
         with pytest.raises(InputError):
             Embedding(bad_src, L3, rows)
+
+    @pytest.mark.parametrize("coords", [(1,), (1,) * 22, (1,) * 30])
+    def test_apply_rejects_wrong_length(self, coords):
+        emb = make_context(3).embed
+        with pytest.raises(InputError, match="vector length does not match lattice rank"):
+            emb.apply(coords)
+
+    def test_apply_rejects_vector_of_another_lattice(self):
+        ctx = make_context(3)
+        with pytest.raises(InputError, match="vector belongs to a different lattice"):
+            ctx.embed.apply(ctx.v)
+        assert ctx.embed.apply(ctx.delta) == ctx.embed.apply(ctx.delta.coords)

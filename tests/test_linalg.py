@@ -16,6 +16,7 @@ from wallkit import (
     saturation,
     standard_lattice,
 )
+from wallkit.lattice import _saturate
 
 
 def rand_matrix(rng, rows, cols, lo=-6, hi=6):
@@ -125,29 +126,126 @@ class TestKernel:
 
 
 class TestSolvers:
-    def test_solve_int_roundtrip(self):
-        rng = random.Random(41)
-        hits = 0
-        for _ in range(60):
-            r, c = rng.randint(1, 4), rng.randint(1, 4)
-            m = rand_matrix(rng, r, c, -4, 4)
-            x = tuple(rng.randint(-3, 3) for _ in range(c))
-            b = tuple(sum(m[i][j] * x[j] for j in range(c)) for i in range(r))
-            sol = la.solve_int(m, b)
-            assert sol is not None
-            assert tuple(sum(m[i][j] * sol[j] for j in range(c)) for i in range(r)) == b
-            hits += 1
-        assert hits == 60
-
-    def test_solve_int_detects_insolubility(self):
-        # 2x = 1 has no integer solution
-        assert la.solve_int(((2,),), (1,)) is None
-
     def test_solve_rational(self):
         m = ((2, 0), (0, 3))
         sol = la.solve_rational(m, (1, 1))
         assert sol == (Fraction(1, 2), Fraction(1, 3))
         assert la.solve_rational(((1, 1), (1, 1)), (0, 1)) is None
+
+
+def dense_mat_mul(a, b):
+    bt = list(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+    )
+
+
+def dense_mat_vec(a, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def dense_vec_mat_vec(x, a, y):
+    return sum(xi * sum(aij * yj for aij, yj in zip(row, y)) for xi, row in zip(x, a))
+
+
+def sparse_entry(rng, density, fractions):
+    """A random entry that is nonzero with probability `density`."""
+    if rng.random() >= density:
+        return 0
+    x = rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5])
+    return Fraction(x, rng.randint(1, 7)) if fractions else x
+
+
+def sparse_matrix(rng, rows, cols, density, fractions=False):
+    return tuple(
+        tuple(sparse_entry(rng, density, fractions) for _ in range(cols))
+        for _ in range(rows)
+    )
+
+
+def sparse_class(rng, rank, nonzeros):
+    """A vector with `nonzeros` nonzero integer coordinates."""
+    out = [0] * rank
+    for i in rng.sample(range(rank), nonzeros):
+        out[i] = rng.choice([-1, 1]) * rng.randint(1, 9)
+    return tuple(out)
+
+
+def all_ints(value):
+    if isinstance(value, tuple):
+        return all(all_ints(x) for x in value)
+    return type(value) is int
+
+
+class TestSparseKernels:
+    """The products skip zero entries; the dense formulas they replaced
+    are the oracle."""
+
+    DENSITIES = (0.0, 0.1, 0.25, 0.5, 0.75, 1.0)
+
+    def check(self, a, b, v, x):
+        fractions = not all_ints((a, b, v, x))
+        for got, want in [
+            (la.mat_mul(a, b), dense_mat_mul(a, b)),
+            (la.mat_vec(a, v), dense_mat_vec(a, v)),
+            (la.vec_mat_vec(x, a, v), dense_vec_mat_vec(x, a, v)),
+        ]:
+            assert got == want
+            assert fractions or all_ints(got)
+
+    @pytest.mark.parametrize("fractions", [False, True], ids=["int", "fraction"])
+    @pytest.mark.parametrize("density", DENSITIES)
+    def test_random_matrices(self, density, fractions):
+        rng = random.Random(71 + int(100 * density) + fractions)
+        for _ in range(40):
+            r, k, c = (rng.randint(1, 7) for _ in range(3))
+            a = sparse_matrix(rng, r, k, density, fractions)
+            b = sparse_matrix(rng, k, c, density, fractions)
+            v = sparse_matrix(rng, 1, k, density, fractions)[0]
+            x = sparse_matrix(rng, 1, r, density, fractions)[0]
+            self.check(a, b, v, x)
+
+    def test_zero_vectors(self):
+        rng = random.Random(79)
+        for fractions in (False, True):
+            a = sparse_matrix(rng, 4, 4, 0.5, fractions)
+            zero = (0,) * 4
+            self.check(a, sparse_matrix(rng, 4, 3, 0.0), zero, zero)
+            assert la.mat_vec(a, zero) == (0,) * 4
+            assert la.vec_mat_vec(zero, a, zero) == 0
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_empty_shapes(self, k):
+        empty_rows = ()  # 0 x k
+        empty_cols = ((),) * k  # k x 0
+        square = sparse_matrix(random.Random(83 + k), k, k, 0.5)
+        ones = (1,) * k
+        for a, b in [
+            (empty_rows, square),
+            (empty_cols, empty_rows),
+            (square, empty_cols),
+            (empty_rows, empty_cols),
+        ]:
+            assert la.mat_mul(a, b) == dense_mat_mul(a, b)
+        assert la.mat_vec(empty_rows, ones) == dense_mat_vec(empty_rows, ones) == ()
+        assert la.mat_vec(empty_cols, ()) == dense_mat_vec(empty_cols, ()) == (0,) * k
+        assert la.vec_mat_vec((), (), ()) == dense_vec_mat_vec((), (), ()) == 0
+
+    @pytest.mark.parametrize(
+        "lattice",
+        [standard_lattice("Ln", n) for n in range(2, 11)] + [standard_lattice("mukai")],
+        ids=lambda L: L.label,
+    )
+    def test_ambient_grams_with_sparse_classes(self, lattice):
+        rng = random.Random(89 + lattice.rank + lattice.gram[-1][-1])
+        g, n = lattice.gram, lattice.rank
+        for _ in range(30):
+            x = sparse_class(rng, n, rng.randint(0, 6))
+            y = sparse_class(rng, n, rng.randint(0, 6))
+            cols = tuple(zip(x, y))
+            self.check(g, cols, y, x)
+            self.check(la.transpose(cols), g, y, x[:2])
+            assert lattice.inner(x, y) == dense_vec_mat_vec(x, g, y)
 
 
 def even_lattice(rank):
@@ -192,6 +290,9 @@ class TestSmithInverses:
                 assert sat.source.rank == 0 and sat.matrix == ((),) * rows
                 zero += 1
                 continue
+            emb, coords = _saturate(L, m)
+            assert emb.matrix == sat.matrix
+            assert la.mat_mul(emb.matrix, coords) == m  # columns in the saturated basis
             if rk == cols and all(d[i][i] == 1 for i in range(rk)):
                 assert sat.matrix == m  # primitive input keeps its basis
                 continue

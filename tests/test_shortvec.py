@@ -99,6 +99,21 @@ class TestContracts:
         with pytest.raises(EnumerationBudgetExceeded):
             short_vectors(standard_lattice("E8(-1)"), -2, max_cells=10)
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_nonpositive_cap_argument_rejected(self, cap):
+        with pytest.raises(InputError, match="max_cells must be a positive integer"):
+            CellBudget(max_cells=cap)
+        with pytest.raises(InputError, match="max_cells must be a positive integer"):
+            short_vectors(standard_lattice("E8(-1)"), -2, max_cells=cap)
+
+    @pytest.mark.parametrize("env", ["0", "-3", "x"])
+    def test_nonpositive_cap_variable_rejected(self, env, monkeypatch):
+        monkeypatch.setenv("WALLKIT_MAX_CELLS", env)
+        with pytest.raises(InputError, match="WALLKIT_MAX_CELLS must be a positive integer"):
+            CellBudget()
+        monkeypatch.setenv("WALLKIT_MAX_CELLS", "1")
+        assert CellBudget().max_cells == 1
+
     def test_indefinite_rejected(self):
         with pytest.raises(InputError):
             short_vectors(standard_lattice("U"), -2)

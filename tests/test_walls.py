@@ -1,13 +1,17 @@
 """Wall certificates, type tables, and isometry-orbit invariants in L_n."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
 import pytest
 
+import wallkit._linalg as la
 from wallkit import (
     InputError,
     WallCondition,
@@ -269,6 +273,65 @@ class TestHyperbolicT:
         s = tuple(factor * c for c in ctx.v.coords)
         with pytest.raises(InputError, match="span of v and s is not rank 2"):
             hyperbolic_T(ctx, s)
+
+    def test_coordinates_match_smith_solve(self):
+        rng = random.Random(97)
+        primitive = saturated = 0
+        for _ in range(80):
+            ctx = make_context(rng.randint(2, 10))
+            w = [0] * 24
+            for i in rng.sample(range(24), rng.randint(1, 5)):
+                w[i] = rng.randint(-6, 6)
+            a, b = rng.randint(-3, 3), rng.choice([1, 1, 2, 3, -2])
+            s = tuple(a * x + b * y for x, y in zip(ctx.v.coords, w))
+            if la.rank(tuple(zip(ctx.v.coords, s))) < 2:
+                continue
+            data = hyperbolic_T(ctx, s)
+            assert data.v_in_T.coords == smith_solve(data.embed.matrix, ctx.v.coords)
+            assert data.s_in_T.coords == smith_solve(data.embed.matrix, s)
+            if data.embed.matrix == tuple(zip(ctx.v.coords, s)):
+                primitive += 1
+                assert (data.v_in_T.coords, data.s_in_T.coords) == ((1, 0), (0, 1))
+            else:
+                saturated += 1
+        assert primitive > 10 and saturated > 10
+
+    def test_lost_class_is_internal_error_under_optimize(self):
+        # python -O strips asserts; the check that the coordinates map back
+        # to v must still fire.  The patch shifts v's first coordinate.
+        script = (
+            "from wallkit import walls\n"
+            "real = walls._saturate\n"
+            "def shifted(lattice, m):\n"
+            "    emb, coords = real(lattice, m)\n"
+            "    return emb, ((coords[0][0] + 1,) + coords[0][1:],) + coords[1:]\n"
+            "walls._saturate = shifted\n"
+            "ctx = walls.make_context(3)\n"
+            "walls.hyperbolic_T(ctx, (1,) + (0,) * 23)\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+            timeout=60,
+        )
+        assert res.returncode == 1
+        assert b"InternalError: saturation lost the spanning classes" in res.stderr
+
+
+def smith_solve(m, b):
+    """The integer x with M x = b, for M of full column rank: P M Q = D
+    turns it into D y = P b with x = Q y."""
+    p, d, q = la.smith_normal_form(m)
+    pb = la.mat_vec(p, b)
+    ncols = len(q)
+    assert not any(pb[ncols:])
+    y = []
+    for i in range(ncols):
+        quo, rem = divmod(pb[i], d[i][i])
+        assert rem == 0
+        y.append(quo)
+    return la.mat_vec(q, y)
 
 
 WALL_TESTS = json.loads(
