@@ -215,24 +215,6 @@ def solve_rational(m: Sequence[Sequence], b: Sequence) -> tuple[Fraction, ...] |
     return tuple(x)
 
 
-def rank(m: Sequence[Sequence]) -> int:
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    a = [[Fraction(x) for x in row] for row in m]
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, nr):
-            if a[i][c] != 0:
-                f = a[i][c] / a[r][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-    return r
-
-
 def signature_of(gram: Sequence[Sequence[int]]) -> tuple[int, int]:
     """Inertia (n_+, n_-) of a nondegenerate symmetric matrix, exactly.
 

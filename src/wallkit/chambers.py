@@ -17,10 +17,11 @@ All questions are reduced to exact finite enumerations:
 * In rank >= 3 the report is inexact: the facets of the cone K cut out by
   the typed classes of the height box that meet omega's component of the
   positive cone.  A wall outside the box can cut such a facet off.  One
-  integer double description of K keeps the candidates carrying a facet;
-  a facet is decided exactly, a sup-of-quadratic question solved on it by
-  a second double description plus stationary points of the faces its
-  neighbours in K cut.
+  integer double description of K gives its rays; the rays on each
+  candidate's hyperplane mark its face of K, and these bitmasks pick out
+  the facets and the ridges between them.  A facet is decided exactly, a
+  sup-of-quadratic question solved on it from the rays it contains plus
+  stationary points of the faces its neighbours in K cut.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .lattice import (
     signature,
 )
 from .shortvec import CellBudget, enumerate_quadratic_leq, short_vectors
-from .walls import NContext, WallType
+from .walls import NContext, WallType, _quad_roots
 
 __all__ = [
     "PicardData",
@@ -385,18 +386,21 @@ def _dual_description(constraints, dim, budget: CellBudget):
 _MAX_STEPS = 200  # cap on the doubling walk and the certificate pull
 
 
-def _sup_positive_witness(gram, rays, lineality, phi, facets, toward, budget: CellBudget):
+def _sup_positive_witness(
+    gram, rays, lineality, phi, normal, facets, toward, budget: CellBudget
+):
     """A rational x in the cone with x^T gram x > 0 and toward . x > 0, or None.
 
-    The cone is lineality + cone(rays); `facets` are the rows cutting out
-    its facets, and `toward` is positive on omega's component of the
-    positive cone.  Lineality directions are eliminated one at a time
-    (positive direction, walk along a null one, or Schur complement, which
-    carries `toward` along); the pointed rest is decided on the base
-    polytope phi . x = 1.  In omega's component sqrt(q) is strictly concave
+    The cone is lineality + cone(rays) and lies in the hyperplane
+    normal . x = 0; `facets` are the rows cutting out its facets there, and
+    `toward` is positive on omega's component of the positive cone.
+    Lineality directions are eliminated one at a time (positive direction,
+    walk along a null one, or Schur complement, which carries `toward`
+    along); the pointed rest is decided on the base polytope phi . x = 1
+    of the hyperplane.  In omega's component sqrt(q) is strictly concave
     (reverse Cauchy-Schwarz), so the maximiser there is unique: the
-    stationary point of q on the span of its face, which a subset of the
-    facet rows cuts out.
+    stationary point of q on the span of its face, which `normal` and a
+    subset of the facet rows cut out.
     """
 
     def q(x, y=None):
@@ -438,7 +442,7 @@ def _sup_positive_witness(gram, rays, lineality, phi, facets, toward, budget: Ce
             for i in range(n)
         )
         sub_toward = tuple(h - side(l) / ql * g for h, g in zip(toward, gl))
-        sub = _sup_positive_witness(schur, rays, rest, phi, facets, sub_toward, budget)
+        sub = _sup_positive_witness(schur, rays, rest, phi, normal, facets, sub_toward, budget)
         if sub is None:
             return None
         tstar = -q(l, sub) / ql
@@ -450,12 +454,11 @@ def _sup_positive_witness(gram, rays, lineality, phi, facets, toward, budget: Ce
         if pv <= 0:
             raise InternalError("base functional not positive on ray")
         candidates.append(tuple(Fraction(c) / pv for c in r))
-    dim = len(gram)
-    for size in range(dim):
+    for size in range(len(gram) - 1):
         for subset in itertools.combinations(facets, size):
             budget.spend()
-            rows = [phi, *subset]
-            x0 = la.solve_rational(rows, [1] + [0] * size)
+            rows = [phi, normal, *subset]
+            x0 = la.solve_rational(rows, [1, 0] + [0] * size)
             if x0 is None:
                 continue
             null = la.kernel_basis([_primitive_int(row) for row in rows])
@@ -520,11 +523,7 @@ def _last_coordinates(a, b, c, bound):
             return range(-bound, bound + 1) if c == 0 else ()
         t, rem = divmod(-c, 2 * b)
         return (t,) if rem == 0 and -bound <= t <= bound else ()
-    disc = b * b - a * c
-    if disc < 0 or isqrt(disc) ** 2 != disc:
-        return ()
-    r = isqrt(disc)
-    return [t // a for t in (-b + r, -b - r) if t % a == 0 and -bound <= t // a <= bound]
+    return [t for t in _quad_roots(a, 2 * b, c) if -bound <= t <= bound]
 
 
 def _box_candidates(P: PicardData, omega, lookup, bound, budget):
@@ -674,6 +673,25 @@ def _support_rank2(P, omega, lookup, bound, budget):
     return walls, exact
 
 
+def _facets(inc):
+    """Keys of `inc` whose mask no other mask strictly contains: the rows
+    carrying facets.  `inc` maps each row of a full-dimensional cone
+    {x : row . x >= 0} to the bitmask of the rays it vanishes on, its face;
+    each facet is some row's face, and a smaller face lies strictly inside
+    a facet."""
+    masks = set(inc.values())
+    top = {m for m in masks if not any(o != m and o & m == m for o in masks)}
+    return [y for y in inc if inc[y] in top]
+
+
+def _adjacent(inc, facets, x, y):
+    """Facets x and y meet in a ridge: no third facet contains their common
+    face.  A ridge lies in exactly two facets, a smaller face in three or
+    more (Fukuda & Prodon 1996)."""
+    common = inc[x] & inc[y]
+    return not any(inc[z] & common == common for z in facets if z != x and z != y)
+
+
 def _support_general(P, omega, lookup, bound, budget):
     """Box candidates that carry a facet of omega's chamber, with certificates.
 
@@ -683,23 +701,20 @@ def _support_general(P, omega, lookup, bound, budget):
     candidate y, so c is a relative interior point of K cap x-perp, which
     is then a facet of K.  One double description of K thus discards every
     candidate that does not cut a facet.  A facet F = K cap x-perp is
-    decided on x-perp: x is a wall when F meets omega's component of the
-    positive cone, and the certificate comes from the maximiser of x'^2
-    over F's base polytope there.  The faces of F are cut out by the
-    facets of K adjacent to x (sharing a ridge of K with it).
+    decided in pic coordinates: x is a wall when F meets omega's component
+    of the positive cone, and the certificate comes from the maximiser of
+    x'^2 over F's base polytope there.  F is K's lineality plus the rays of
+    K on x-perp, and its faces are cut out by the facets of K adjacent to x
+    (sharing a ridge of K with it).
     """
     cands = _box_candidates(P, omega, lookup, bound, budget)
     gram = P.pic.gram
-    rank = P.pic.rank
     order = sorted(cands)
     gy = {y: la.mat_vec(gram, y) for y in order}
-    rays, lin = _dual_description([gy[y] for y in order], rank, budget)
-    incident = {y: {r for r in rays if _dot(gy[y], r) == 0} for y in order}
-
-    def face_dim(face_rays):
-        return la.rank([*face_rays, *lin])
-
-    facets = [y for y in order if face_dim(incident[y]) == rank - 1]
+    rays, lin = _dual_description([gy[y] for y in order], P.pic.rank, budget)
+    inc = {y: sum(1 << i for i, r in enumerate(rays) if _dot(gy[y], r) == 0) for y in order}
+    facets = _facets(inc)
+    toward = la.mat_vec(gram, omega)
     walls = []
     for x in facets:
         t = cands[x]
@@ -712,36 +727,26 @@ def _support_general(P, omega, lookup, bound, budget):
         if all(_dot(gy[y], proj) > 0 for y in others):
             walls.append(Wall(D=P.pic.vector(x), wall_type=t, certificate=proj))
             continue
-        # exact facet decision on W = x-perp inside pic
-        basis = la.kernel_basis([gy[x]])
-        bmat = la.transpose(basis)  # pic coords of W basis, as columns
-        to_w = la.mat_mul(basis, gram)  # v -> the form (v, .) in W coordinates
-        gw = la.mat_mul(to_w, bmat)
-        cons = [la.mat_vec(to_w, y) for y in others]
-        ridges = [
-            la.mat_vec(to_w, y)
-            for y in facets
-            if y != x and face_dim(incident[x] & incident[y]) == rank - 2
-        ]
-        toward = la.mat_vec(to_w, omega)
-        w_rays, w_lin = _dual_description(cons, len(basis), budget)
-        phi = tuple(sum(Fraction(c[i]) for c in cons) for i in range(len(basis)))
-        witness = _sup_positive_witness(gw, w_rays, w_lin, phi, ridges, toward, budget)
+        # exact facet decision on F = K cap x-perp
+        face = [r for i, r in enumerate(rays) if inc[x] >> i & 1]
+        ridges = [gy[y] for y in facets if y != x and _adjacent(inc, facets, x, y)]
+        phi = tuple(map(sum, zip(*(gy[y] for y in others))))
+        witness = _sup_positive_witness(gram, face, lin, phi, gy[x], ridges, toward, budget)
         if witness is None:
             continue
         # pull toward the interior point to make certificates strict,
         # staying in omega's component
-        interior = tuple(sum(Fraction(r[i]) for r in w_rays) for i in range(len(basis)))
+        interior = tuple(map(sum, zip(*face)))
         eps = Fraction(1)
         for _ in range(_MAX_STEPS):
             xw = tuple(w + eps * i for w, i in zip(witness, interior))
-            if la.vec_mat_vec(xw, gw, xw) > 0 and sum(h * v for h, v in zip(toward, xw)) > 0:
+            if la.vec_mat_vec(xw, gram, xw) > 0 and _dot(toward, xw) > 0:
                 witness = xw
                 break
             eps /= 2
         else:
             raise InternalError("no strict certificate near the facet witness")
-        cert = _primitive_int(la.mat_vec(bmat, witness))
+        cert = _primitive_int(witness)
         if not all(_dot(gy[y], cert) > 0 for y in others):
             raise InternalError(f"certificate {cert} misses a candidate wall")
         walls.append(Wall(D=P.pic.vector(x), wall_type=t, certificate=cert))

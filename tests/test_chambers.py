@@ -642,12 +642,13 @@ class TestFacetSearch:
         [
             # 114 candidates; omega's projection certifies all 3 facets
             ((5, 3, 1), 12, [114]),
-            # 6 candidates and 3 facets; the projection certifies 2
-            (WRONG_COMPONENT_OMEGA, 1, [6, 5]),
+            # 6 candidates and 3 facets; the projection certifies 2, and the
+            # third is decided from the same double description
+            (WRONG_COMPONENT_OMEGA, 1, [6]),
         ],
         ids=["projection", "exact"],
     )
-    def test_one_double_description_per_decided_facet(self, monkeypatch, omega, bound, sizes):
+    def test_one_double_description_per_query(self, monkeypatch, omega, bound, sizes):
         calls = []
         dd = chambers._dual_description
 

@@ -428,10 +428,17 @@ class TestChamber:
         assert out == (GOLDEN / f"chamber_{name}_{fmt}.txt").read_text(encoding="utf-8")
 
     # ROADMAP's rank-4 and rank-5 baselines; stdout recorded before the
-    # integer double description.  None is the default bound (12).
+    # integer double description (rk5_b12, out of reach until then, before
+    # facets were read off its incidences).  None is the default bound (12).
     @pytest.mark.parametrize(
         "name, rank, bound",
-        [("rk4_b8", 4, 8), ("rk4_b12", 4, None), ("rk5_b2", 5, 2), ("rk5_b4", 5, 4)],
+        [
+            ("rk4_b8", 4, 8),
+            ("rk4_b12", 4, None),
+            ("rk5_b2", 5, 2),
+            ("rk5_b4", 5, 4),
+            ("rk5_b12", 5, 12),
+        ],
     )
     def test_big_golden_stdout_within_gate(self, capsys, name, rank, bound):
         gram, cols = {4: (RANK4_GRAM, RANK4_COLS), 5: (RANK5_GRAM, RANK5_COLS)}[rank]

@@ -3,9 +3,12 @@
 `fraction_dual_description` is the previous implementation, kept verbatim
 as the oracle: it tested each candidate ray by the rank of the constraints
 it lies on, over exact rationals.  The integer version must return the
-same rays and lineality and charge the same cells, call for call.
+same rays and lineality and charge the same cells, call for call.  The
+facets and ridges the chamber search reads off the integer incidences are
+checked against the same rank test.
 """
 
+import itertools
 import os
 import random
 import subprocess
@@ -17,6 +20,7 @@ import pytest
 
 import wallkit._linalg as la
 from test_chambers import SUPPORT_RANDOM
+from test_linalg import rank
 from wallkit import EnumerationBudgetExceeded, certified_wall_types
 from wallkit import chambers
 from wallkit.chambers import _primitive_int
@@ -81,7 +85,7 @@ def fraction_dual_description(constraints, dim, budget: CellBudget):
                 continue
             active = [c for c in seen if dot(c, r) == 0]
             # extreme iff active constraints cut r down to a single ray
-            if la.rank(active) >= dim - lin_rank - 1:
+            if rank(active) >= dim - lin_rank - 1:
                 keep[key] = tuple(Fraction(x) for x in key)
         rays = list(keep.values())
     out_rays = sorted(_primitive_int(r) for r in rays)
@@ -101,8 +105,8 @@ def run_both(constraints, dim, max_cells=10**9):
 
 def support_cones(case, sections):
     """The candidate cone K of a recorded support query, and its sections
-    by the perps of `sections` candidates (seeded pick), as the search
-    builds them."""
+    by the perps of `sections` candidates (seeded pick) in x-perp
+    coordinates: lower-dimensional cones with lineality, for the oracle."""
     query = parse_chamber_query(case["query"])
     P, omega = query["P"], query["omega"]
     lookup = chambers._type_lookup(certified_wall_types(P.ctx))
@@ -124,6 +128,66 @@ def test_recorded_support_cones_match_oracle(case):
     for constraints, dim in support_cones(case, sections=3):
         new, old = run_both(constraints, dim)
         assert new == old
+
+
+def facets_and_ridges(rows, dim):
+    """Facets and ridges of {x : row . x >= 0} by row index, read off the
+    incidence masks as the chamber search does and by the rank oracle."""
+    rays, lin = chambers._dual_description(rows, dim, CellBudget())
+    on = [[k for k, r in enumerate(rays) if chambers._dot(row, r) == 0] for row in rows]
+    inc = dict(enumerate(sum(1 << k for k in ks) for ks in on))
+    facets = chambers._facets(inc)
+    ridges = [
+        (x, y) for x, y in itertools.combinations(facets, 2)
+        if chambers._adjacent(inc, facets, x, y)
+    ]
+
+    def face_dim(ks):
+        return rank([*(rays[k] for k in ks), *lin])
+
+    oracle_facets = [i for i, ks in enumerate(on) if face_dim(ks) == dim - 1]
+    oracle_ridges = [
+        (x, y) for x, y in itertools.combinations(oracle_facets, 2)
+        if face_dim(set(on[x]) & set(on[y])) == dim - 2
+    ]
+    return (facets, ridges), (oracle_facets, oracle_ridges), lin
+
+
+@pytest.mark.parametrize(
+    "case", SUPPORT_RANDOM, ids=[f"q{i}" for i in range(len(SUPPORT_RANDOM))]
+)
+def test_recorded_facets_and_ridges_match_rank_oracle(case):
+    [(rows, dim)] = support_cones(case, sections=0)
+    new, old, _ = facets_and_ridges(rows, dim)
+    assert new == old
+
+
+def full_dimensional_cone(rng, dim):
+    """Distinct primitive rows, each positive on a random interior point."""
+    point = [rng.randint(-4, 4) for _ in range(dim)]
+    point[rng.randrange(dim)] = rng.choice((-1, 1)) * rng.randint(1, 4)
+    rows = set()
+    for _ in range(rng.randint(1, 3 * dim)):
+        row = [rng.randint(-3, 3) for _ in range(dim)]
+        side = chambers._dot(row, point)
+        if side:
+            rows.add(chambers._primitive([c if side > 0 else -c for c in row]))
+    return sorted(rows)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_random_facets_and_ridges_match_rank_oracle(dim):
+    rng = random.Random(9000 + dim)
+    pointed = lineality = 0
+    for _ in range(250):
+        rows = full_dimensional_cone(rng, dim)
+        if not rows:
+            continue
+        new, old, lin = facets_and_ridges(rows, dim)
+        assert new == old, rows
+        lineality += bool(lin)
+        pointed += not lin
+    assert pointed > 100 and lineality > 25
 
 
 def random_cone(rng, dim):
