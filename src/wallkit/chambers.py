@@ -239,12 +239,16 @@ def walls_between(P: PicardData, alpha, beta, types, max_cells=None) -> list[Wal
     Cauchy-Schwarz transports that to the left endpoint:
     q_a(D) <= |s| (1 + 2 U / a^2) with
     U = -(a-b)^2 + 2 max((a-b, a), (a-b, b))^2 / min_segment gamma(t)^2.
-    The enumeration exhausts that cap (and checks it per hit).  When the
-    cap is disproportionate to the wall squares the segment is bisected
-    first -- U shrinks quadratically with the segment -- and candidates
-    vanishing anywhere on a closed half are pooled, so a class vanishing
-    at a shared midpoint is still caught; the final filter keeps exactly
-    the strict separators of the original endpoints.
+    The enumeration exhausts that cap (and checks it per hit).  The Gram
+    of q_a is -G composed with the reflection in a, so |det q_a| = |det G|
+    and the ball {q_a <= max|s| blowup}, blowup = 1 + 2 U / a^2, has volume
+    a constant times blowup^(rho/2).  [a, b] is split at its midpoint m
+    exactly when blowup(a, m)^(rho/2) + blowup(m, b)^(rho/2) <
+    blowup(a, b)^(rho/2), compared in rationals after squaring: when the
+    halves' balls hold less volume.  Candidates vanishing anywhere on a
+    closed half are pooled, so a class vanishing at a shared midpoint is
+    still caught; the final filter keeps exactly the strict separators of
+    the original endpoints, whatever the splits.
     """
     a = _fracs(P, alpha)
     b = _fracs(P, beta)
@@ -264,7 +268,7 @@ def walls_between(P: PicardData, alpha, beta, types, max_cells=None) -> list[Wal
     max_abs_square = max(abs(t.square) for t in types)
     budget = CellBudget(max_cells)
     pool: dict[tuple[int, ...], WallType] = {}
-    _segment_candidates(P, a, b, max_abs_square, lookup, budget, pool, 0)
+    _segment_candidates(P, a, b, _blowup(P, a, b), max_abs_square, lookup, budget, pool, 0)
     hits = []
     for x, t in pool.items():
         x = _toward(P, x, a)
@@ -273,14 +277,11 @@ def walls_between(P: PicardData, alpha, beta, types, max_cells=None) -> list[Wal
     return [Wall(D=P.pic.vector(x), wall_type=t) for x, t in sorted(hits)]
 
 
-_SPLIT_FACTOR = 16
 _MAX_SPLIT_DEPTH = 40
 
 
-def _segment_candidates(P, a, b, max_abs_square, lookup, budget, pool, depth):
-    """Pool primitive typed classes vanishing on the closed segment [a, b],
-    bisecting while the enumeration cap is out of scale with the squares."""
-    budget.spend()
+def _blowup(P, a, b):
+    """1 + 2 U / a^2: q_a(D) <= |D^2| blowup for D vanishing on [a, b]."""
     asq = _norm(P, a)
     diff = tuple(x - y for x, y in zip(a, b))
     # min of gamma(t)^2 = At^2 + Bt + C on [0, 1]
@@ -294,12 +295,26 @@ def _segment_candidates(P, a, b, max_abs_square, lookup, budget, pool, depth):
     if m <= 0:
         raise InternalError("segment leaves the positive cone")
     pmax = max(abs(_pair(P, diff, a)), abs(_pair(P, diff, b)))
-    blowup = 1 + 2 * (-A + 2 * pmax * pmax / m) / asq
-    if blowup > _SPLIT_FACTOR and depth < _MAX_SPLIT_DEPTH:
+    return 1 + 2 * (-A + 2 * pmax * pmax / m) / asq
+
+
+def _split_pays(whole, left, right, rank):
+    """left^(rank/2) + right^(rank/2) < whole^(rank/2), exactly, squared once."""
+    d = whole**rank - left**rank - right**rank
+    return d > 0 and 4 * (left * right) ** rank < d * d
+
+
+def _segment_candidates(P, a, b, blowup, max_abs_square, lookup, budget, pool, depth):
+    """Pool primitive typed classes vanishing on the closed segment [a, b],
+    bisecting while the halves' majorant balls hold less volume."""
+    budget.spend()
+    if depth < _MAX_SPLIT_DEPTH:
         mid = tuple((x + y) / 2 for x, y in zip(a, b))
-        _segment_candidates(P, a, mid, max_abs_square, lookup, budget, pool, depth + 1)
-        _segment_candidates(P, mid, b, max_abs_square, lookup, budget, pool, depth + 1)
-        return
+        left, right = _blowup(P, a, mid), _blowup(P, mid, b)
+        if _split_pays(blowup, left, right, P.pic.rank):
+            _segment_candidates(P, a, mid, left, max_abs_square, lookup, budget, pool, depth + 1)
+            _segment_candidates(P, mid, b, right, max_abs_square, lookup, budget, pool, depth + 1)
+            return
     gram = _majorant_gram(P, a)
     for x in enumerate_quadratic_leq(gram, max_abs_square * blowup, budget):
         for c in x:

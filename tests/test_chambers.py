@@ -7,6 +7,7 @@ import json
 import random
 import typing
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -408,6 +409,17 @@ def box_walls_between(P, alpha, beta, types, box):
     return hits
 
 
+def pair29_data():
+    """Acceptance-9 pair 29, its hardest: n = 4, U + <-6>, 14 walls."""
+    P = picard(4, [[0, 1, 0], [1, 0, 0], [0, 0, -6]], [{0: 1}, {1: 1}, {22: 1}])
+    return P, enumerate_wall_types(P.ctx), (8, 2, -2), (4, 4, 2)
+
+
+WALLS_BETWEEN_RANDOM = json.loads(
+    (GOLDEN_DIR / "walls_between_random.json").read_text(encoding="utf-8")
+)["cases"]
+
+
 class TestWallsBetween:
     def test_p2_reflection_crosses_exactly_one_wall(self):
         P = p2_data()
@@ -495,6 +507,138 @@ class TestWallsBetween:
         legs = {unsigned(w.D.coords) for w in walls_between(P, a, mid, types)}
         legs |= {unsigned(w.D.coords) for w in walls_between(P, mid, c, types)}
         assert {unsigned(w.D.coords) for w in through} <= legs
+
+    @pytest.mark.parametrize(
+        "case",
+        WALLS_BETWEEN_RANDOM,
+        ids=[f"{c['name']}-{i}" for i, c in enumerate(WALLS_BETWEEN_RANDOM)],
+    )
+    def test_matches_recorded(self, case):
+        cols = [{int(k): v for k, v in col.items()} for col in case["embed_cols"]]
+        P = picard(case["n"], case["pic_gram"], cols)
+        cap = case["max_abs_square"]
+        types = [
+            t for t in enumerate_wall_types(P.ctx) if cap is None or -t.square <= cap
+        ]
+        found = walls_between(P, case["alpha"], case["beta"], types)
+        assert [[list(w.D.coords), *wall_key(w)[1:]] for w in found] == case["walls"]
+
+    def test_budget_fits_volume_splits(self):
+        # the volume rule spends 19,134 cells here; halving whenever the
+        # blowup exceeded 16 spent 132,016
+        P, types, a, b = pair29_data()
+        assert len(walls_between(P, a, b, types, max_cells=30_000)) == 14
+
+    def test_budget_trips_at_small_cap(self):
+        P, types, a, b = pair29_data()
+        with pytest.raises(EnumerationBudgetExceeded):
+            walls_between(P, a, b, types, max_cells=1_000)
+
+    def test_split_rule_never_changes_walls(self, monkeypatch):
+        # the pool and the final strict-separator filter make any split
+        # rule return the same walls; here: the default rule against one
+        # ball per segment
+        splits = []
+        split_pays = chambers._split_pays
+
+        def counting(*args):
+            splits.append(split_pays(*args))
+            return splits[-1]
+
+        rng = random.Random(7)
+        for P, high, tail in ((p2_data(), 12, 8), (rank3_data(), 6, 3)):
+            types = enumerate_wall_types(P.ctx)
+            walls = 0
+            for _ in range(8):
+                while True:
+                    a, b = (
+                        (
+                            rng.randint(1, high),
+                            *(rng.randint(-tail, tail) for _ in range(P.pic.rank - 1)),
+                        )
+                        for _ in range(2)
+                    )
+                    if min(P.pic.norm(a), P.pic.norm(b)) >= 4 and P.pic.inner(a, b) > 0:
+                        break
+                monkeypatch.setattr(chambers, "_split_pays", counting)
+                default = [wall_key(w) for w in walls_between(P, a, b, types)]
+                monkeypatch.setattr(chambers, "_split_pays", lambda *args: False)
+                never = [wall_key(w) for w in walls_between(P, a, b, types)]
+                assert never == default, (a, b)
+                walls += len(default)
+            assert walls > 0
+        assert any(splits) and not all(splits)
+
+
+def integer_root(n, k):
+    """floor(n^(1/k)) for an integer n >= 1."""
+    x = 1 << (n.bit_length() // k + 1)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def volume_gap(whole, left, right, rank):
+    """whole^(rank/2) - left^(rank/2) - right^(rank/2) in 100-digit
+    decimals, relative to whole^(rank/2)."""
+    with localcontext() as ctx:
+        ctx.prec = 100
+
+        def volume(f):
+            return ((Decimal(f.numerator) / Decimal(f.denominator)) ** rank).sqrt()
+
+        return (volume(whole) - volume(left) - volume(right)) / volume(whole)
+
+
+class TestSplitRule:
+    """`_split_pays(whole, left, right, rank)`: split exactly when
+    left^(rank/2) + right^(rank/2) < whole^(rank/2)."""
+
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
+    def test_matches_decimal_volumes(self, rank):
+        rng = random.Random(rank)
+        seen = set()
+        for _ in range(400):
+            whole = Fraction(rng.randint(100, 10**4), rng.randint(1, 100))
+            left, right = (whole * Fraction(rng.randint(1, 100), 100) for _ in range(2))
+            gap = volume_gap(whole, left, right, rank)
+            if abs(gap) < Decimal(10) ** -60:
+                continue  # a tie, such as 0.6^2 + 0.8^2 = 1 at rank 4
+            assert chambers._split_pays(whole, left, right, rank) == (gap > 0)
+            seen.add(gap > 0)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize(
+        "rank,whole,left,right",
+        [
+            (2, 3, 1, 2),
+            (2, 1, Fraction(1, 3), Fraction(2, 3)),
+            (4, 5, 3, 4),
+            (4, Fraction(13, 7), Fraction(5, 7), Fraction(12, 7)),
+            # odd rank: no two positive rational halves tie (in one square
+            # class this is u^rank + v^rank = z^rank), so one half is empty
+            (3, 2, 2, 0),
+            (5, Fraction(7, 3), 0, Fraction(7, 3)),
+        ],
+        ids=["rank2", "rank2-thirds", "rank4-3-4-5", "rank4-5-12-13", "rank3", "rank5"],
+    )
+    def test_tie_does_not_split(self, rank, whole, left, right):
+        eps = Fraction(1, 10**30)
+        assert not chambers._split_pays(whole, left, right, rank)
+        assert chambers._split_pays(whole + eps, left, right, rank)
+        assert not chambers._split_pays(whole - eps, left, right, rank)
+
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
+    def test_irrational_tie_approached_from_both_sides(self, rank):
+        # halves of volume 1 each tie with whole = 4^(1/rank)
+        scale = 10**40
+        root = integer_root(4 * scale**rank, rank)
+        assert root**rank <= 4 * scale**rank < (root + 1) ** rank
+        # below is the tie itself at rank 2 and just under it otherwise
+        assert not chambers._split_pays(Fraction(root, scale), 1, 1, rank)
+        assert chambers._split_pays(Fraction(root + 1, scale), 1, 1, rank)
 
 
 class TestSameChamber:
