@@ -66,8 +66,6 @@ from .chambers import (
     extremal_rays,
     in_dual_cone,
     is_positive_class,
-    same_chamber,
-    supporting_walls,
     supporting_walls_report,
     walls_between,
 )
@@ -126,13 +124,11 @@ __all__ = [
     "make_context",
     "markman_wall_test",
     "orthogonal_complement",
-    "same_chamber",
     "same_orbit",
     "saturation",
     "short_vectors",
     "signature",
     "standard_lattice",
-    "supporting_walls",
     "supporting_walls_report",
     "verify_all",
     "verify_fixture",

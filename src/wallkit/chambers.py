@@ -7,21 +7,25 @@ All questions are reduced to exact finite enumerations:
   positive definite, and every wall divisor separating a from b satisfies
   an explicit q_a bound derived from Cauchy-Schwarz for the majorant (see
   `walls_between`).  Enumerating that ball is therefore complete.
-* Supporting-wall searches in rank 2 are exact: candidates found inside
-  the height box give an angular bracket, and the identity
+* A supporting-wall search first checks that omega lies on no wall (one
+  enumeration of the negative definite omega-perp), then gathers typed
+  candidate classes, which differ by rank.  In rank 2 they are complete:
+  when the Picard form splits off a hyperbolic plane over Q, from divisor
+  pairs with no height cap at all; otherwise the classes of the height
+  box give an angular bracket, and the identity
   q_w(D) = |D^2| (2 mu(D) - 1), where mu(D) is the normalized angle
   between w and the positive ray of D-perp, turns "angularly closer than
-  the bracket" into another complete q_w enumeration.  When the Picard
-  form splits off a hyperbolic plane over Q, walls are enumerated exactly
-  from divisor pairs instead, with no height cap at all.
-* In rank >= 3 the report is inexact: the facets of the cone K cut out by
-  the typed classes of the height box that meet omega's component of the
-  positive cone.  A wall outside the box can cut such a facet off.  One
-  integer double description of K gives its rays; the rays on each
-  candidate's hyperplane mark its face of K, and these bitmasks pick out
-  the facets and the ridges between them.  A facet is decided exactly, a
-  sup-of-quadratic question solved on it from the rays it contains plus
-  stationary points of the faces its neighbours in K cut.
+  the bracket" into another complete q_w enumeration.  In rank >= 3 they
+  are the typed classes of the height box, and the report is inexact: a
+  wall outside the box can cut a facet off.
+* One facet step, shared by every rank, turns candidates into walls: the
+  facets of the cone K they cut out that meet omega's component of the
+  positive cone.  One integer double description of K gives its rays;
+  the rays on each candidate's hyperplane mark its face of K, and these
+  bitmasks pick out the facets and the ridges between them.  A facet is
+  decided exactly, a sup-of-quadratic question solved on it from the rays
+  it contains plus stationary points of the faces its neighbours in K
+  cut.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .lattice import (
     orthogonal_complement,
     signature,
 )
-from .shortvec import CellBudget, enumerate_quadratic_leq, short_vectors
+from .shortvec import CellBudget, enumerate_quadratic_leq
 from .walls import NContext, WallType, _quad_roots
 
 __all__ = [
@@ -52,8 +56,6 @@ __all__ = [
     "ExtremalRay",
     "is_positive_class",
     "walls_between",
-    "same_chamber",
-    "supporting_walls",
     "supporting_walls_report",
     "extremal_rays",
     "in_dual_cone",
@@ -335,11 +337,6 @@ def _segment_candidates(P, a, b, blowup, max_abs_square, lookup, budget, pool, d
         pool[x] = t
 
 
-def same_chamber(P: PicardData, alpha, beta, types, max_cells=None) -> bool:
-    """True when no wall of any given type strictly separates the classes."""
-    return not walls_between(P, alpha, beta, types, max_cells=max_cells)
-
-
 # ------------------------------------------------------- double description
 
 
@@ -502,33 +499,35 @@ def _sup_positive_witness(
 # ------------------------------------------------------------ wall supports
 
 
-def _check_on_wall(P: PicardData, omega, lookup):
+def _check_on_wall(P: PicardData, omega, lookup, budget: CellBudget):
     """Raise OnWallError when omega is orthogonal to some wall-type class.
 
     Exact and independent of any height bound: omega-perp in pic is
-    negative definite, so each candidate square is a finite short-vector
-    enumeration there.
+    negative definite, so one enumeration up to the largest |square| finds
+    every such class.  The wall named is the first by |square|, then by
+    coordinates in the complement's basis.
     """
-    if P.pic.rank < 2:
-        return
-    om_int = _primitive_int(omega)
-    comp = orthogonal_complement(P.pic, [om_int])
-    if comp.source.rank == 0:
-        return
-    for s in sorted(lookup, key=abs):
-        for w in short_vectors(comp.source, s):
-            cand = comp.apply(w)
-            if not cand.is_primitive():
-                continue
-            t = lookup[s].get(P.div_of(cand.coords))
-            if t is None:
-                continue
-            wall = Wall(D=cand, wall_type=t)
-            raise OnWallError(
-                f"reference class lies on the wall D={cand.coords} "
-                f"of type (square {t.square}, div {t.div})",
-                wall=wall,
-            )
+    comp = orthogonal_complement(P.pic, [_primitive_int(omega)])
+    sub = comp.source
+    neg = tuple(tuple(-g for g in row) for row in sub.gram)
+    # type squares are negative: -s is |s|
+    hits = sorted(
+        (-s, w)
+        for w in enumerate_quadratic_leq(neg, max(map(abs, lookup)), budget)
+        if (s := sub.norm(w)) in lookup
+    )
+    for minus_s, w in hits:
+        cand = comp.apply(w)
+        if not cand.is_primitive():
+            continue
+        t = lookup[-minus_s].get(P.div_of(cand.coords))
+        if t is None:
+            continue
+        raise OnWallError(
+            f"reference class lies on the wall D={cand.coords} "
+            f"of type (square {t.square}, div {t.div})",
+            wall=Wall(D=cand, wall_type=t),
+        )
 
 
 def _last_coordinates(a, b, c, bound):
@@ -649,43 +648,31 @@ def _mu(P: PicardData, x0, omega) -> Fraction:
 
 
 def _support_rank2(P, omega, lookup, bound, budget):
+    """Rank-2 candidates oriented toward omega, and whether they hold every
+    wall of omega's chamber."""
     split = _split_isotropic(P, omega)
     if split is not None:
-        cands = _split_candidates(P, omega, lookup, split)
-        exact = True
-    else:
-        cands = _box_candidates(P, omega, lookup, bound, budget)
-        exact = False
-        if cands:
-            # bracket per side, then close the search exactly: any wall
-            # angularly closer than the bracket satisfies
-            # q_omega(D) = |D^2| (2 mu - 1) <= cap.
-            sides = {1: [], -1: []}
-            for x in cands:
-                x0 = _perp_ray_rank2(P, x, omega)
-                side = x0[0] * omega[1] - x0[1] * omega[0]
-                sides[1 if side > 0 else -1].append(_mu(P, x0, omega))
-            mus = [min(v) for v in sides.values() if v]
-            both = all(sides.values())
-            mu_cap = max(mus)
-            cap = max(abs(s) * (2 * mu_cap - 1) for s in lookup)
-            gram = _majorant_gram(P, omega)
-            for x in enumerate_quadratic_leq(gram, cap, budget):
-                if gcd(*x) != 1 or x in cands:
-                    continue
-                t = _match_type(P, x, lookup)
-                if t is not None:
-                    cands.setdefault(_toward(P, x, omega), t)
-            exact = both
-    walls = []
-    for x in sorted(cands):
-        t = cands[x]
+        return _split_candidates(P, omega, lookup, split), True
+    cands = _box_candidates(P, omega, lookup, bound, budget)
+    if not cands:
+        return cands, False
+    # bracket per side, then close the search exactly: any wall angularly
+    # closer than the bracket satisfies q_omega(D) = |D^2| (2 mu - 1) <= cap.
+    sides = {1: [], -1: []}
+    for x in cands:
         x0 = _perp_ray_rank2(P, x, omega)
-        if all(
-            P.pic.inner(y, x0) > 0 for y in cands if y != x
-        ):
-            walls.append(Wall(D=P.pic.vector(x), wall_type=t, certificate=x0))
-    return walls, exact
+        side = x0[0] * omega[1] - x0[1] * omega[0]
+        sides[1 if side > 0 else -1].append(_mu(P, x0, omega))
+    mu_cap = max(min(v) for v in sides.values() if v)
+    cap = max(abs(s) * (2 * mu_cap - 1) for s in lookup)
+    gram = _majorant_gram(P, omega)
+    for x in enumerate_quadratic_leq(gram, cap, budget):
+        if gcd(*x) != 1 or x in cands:
+            continue
+        t = _match_type(P, x, lookup)
+        if t is not None:
+            cands.setdefault(_toward(P, x, omega), t)
+    return cands, all(sides.values())
 
 
 def _facets(inc):
@@ -707,22 +694,26 @@ def _adjacent(inc, facets, x, y):
     return not any(inc[z] & common == common for z in facets if z != x and z != y)
 
 
-def _support_general(P, omega, lookup, bound, budget):
-    """Box candidates that carry a facet of omega's chamber, with certificates.
+def _facet_walls(P, omega, cands, budget):
+    """The candidates that carry a facet of omega's chamber, with
+    certificates; the step every rank >= 2 shares.
 
-    The candidates y cut out the cone K = {x : (y, x) >= 0 for all y};
-    the on-wall check puts omega in its interior.  Lemma: a certificate c
-    of a candidate x has (x, c) = 0 and (y, c) > 0 for every other
-    candidate y, so c is a relative interior point of K cap x-perp, which
-    is then a facet of K.  One double description of K thus discards every
-    candidate that does not cut a facet.  A facet F = K cap x-perp is
-    decided in pic coordinates: x is a wall when F meets omega's component
-    of the positive cone, and the certificate comes from the maximiser of
-    x'^2 over F's base polytope there.  F is K's lineality plus the rays of
-    K on x-perp, and its faces are cut out by the facets of K adjacent to x
-    (sharing a ridge of K with it).
+    `cands` maps typed primitive classes, oriented toward omega, to their
+    types: the rank-2 or the box candidates.  They cut out the cone
+    K = {x : (y, x) >= 0 for all y}; the on-wall check puts omega in its
+    interior.
+    Lemma: a certificate c of a candidate x has (x, c) = 0 and (y, c) > 0 for
+    every other candidate y, so c is a relative interior point of K cap
+    x-perp, which is then a facet of K.  One double description of K thus
+    discards every candidate that does not cut a facet.  A facet F = K cap
+    x-perp is decided in pic coordinates: x is a wall when F meets omega's
+    component of the positive cone, and the certificate comes from the
+    maximiser of x'^2 over F's base polytope there.  F is K's lineality plus
+    the rays of K on x-perp, and its faces are cut out by the facets of K
+    adjacent to x (sharing a ridge of K with it).  In rank 2 the fast path's
+    projection of omega onto x-perp is x-perp's ray toward omega, and a facet
+    it fails to certify lies in the other component, so has no witness.
     """
-    cands = _box_candidates(P, omega, lookup, bound, budget)
     gram = P.pic.gram
     order = sorted(cands)
     gy = {y: la.mat_vec(gram, y) for y in order}
@@ -765,7 +756,7 @@ def _support_general(P, omega, lookup, bound, budget):
         if not all(_dot(gy[y], cert) > 0 for y in others):
             raise InternalError(f"certificate {cert} misses a candidate wall")
         walls.append(Wall(D=P.pic.vector(x), wall_type=t, certificate=cert))
-    return walls, False
+    return walls
 
 
 def supporting_walls_report(
@@ -773,14 +764,18 @@ def supporting_walls_report(
 ) -> SupportResult:
     """Walls whose hyperplanes carry facets of the chamber of omega.
 
-    Every reported wall comes with an exact certificate class.  `exact`
-    is True when the wall list is provably complete (always in rank 1;
-    in rank 2 when the form splits or both sides of omega were bracketed
-    and closed off).  A rank >= 3 list is the facets of the cone cut out
-    by the typed classes in the box [-search_bound, search_bound]^rank
-    that meet omega's component of the positive cone; it can include
-    classes that are not walls of omega's true chamber.
-    Raises OnWallError when omega lies on a candidate wall.
+    Candidates differ by rank: rank 2 takes its split divisor pairs, or
+    the box [-search_bound, search_bound]^2 closed off by the mu-ball;
+    rank >= 3 takes the typed classes of the box
+    [-search_bound, search_bound]^rank.  One facet step, shared by all
+    ranks, keeps the facets of the cone the candidates cut out that meet
+    omega's component of the positive cone, and every reported wall comes
+    with an exact certificate class.  `exact` is True when the wall list
+    is provably complete (always in rank 1; in rank 2 when the form splits
+    or both sides of omega were bracketed and closed off).  A rank >= 3
+    list can include classes that are not walls of omega's true chamber.
+    Raises OnWallError when omega lies on a wall of a listed type; that
+    check, like every phase, spends cells of the one `max_cells` budget.
     """
     om = _fracs(P, omega)
     if _norm(P, om) <= 0:
@@ -792,11 +787,12 @@ def supporting_walls_report(
     budget = CellBudget(max_cells)
     if not types or P.pic.rank == 1:
         return SupportResult(walls=(), exact=True, search_bound=search_bound)
-    _check_on_wall(P, om, lookup)
+    _check_on_wall(P, om, lookup, budget)
     if P.pic.rank == 2:
-        walls, exact = _support_rank2(P, om, lookup, search_bound, budget)
+        cands, exact = _support_rank2(P, om, lookup, search_bound, budget)
     else:
-        walls, exact = _support_general(P, om, lookup, search_bound, budget)
+        cands, exact = _box_candidates(P, om, lookup, search_bound, budget), False
+    walls = _facet_walls(P, om, cands, budget)
     for w in walls:
         c = w.certificate
         if not (
@@ -808,14 +804,6 @@ def supporting_walls_report(
         ):
             raise InternalError(f"certificate {c} does not certify the wall D={w.D.coords}")
     return SupportResult(walls=tuple(walls), exact=exact, search_bound=search_bound)
-
-
-def supporting_walls(
-    P: PicardData, omega, types, search_bound: int = 12, max_cells=None
-) -> list[Wall]:
-    return list(
-        supporting_walls_report(P, omega, types, search_bound, max_cells).walls
-    )
 
 
 def extremal_rays(report: SupportResult) -> list[ExtremalRay]:

@@ -33,7 +33,6 @@ from wallkit import (
     same_orbit,
     short_vectors,
     standard_lattice,
-    supporting_walls,
     supporting_walls_report,
     wall_test,
     wall_type_exists,
@@ -480,7 +479,7 @@ def test_acceptance_11_candidate_vs_certified(capsys):
         # ... yet carries no wall certificate
         assert wall_test(ctx, P.embed.apply(ray_class)) is None
         # and is absent from the computed nef-side chamber
-        walls = supporting_walls(P, (7, -2), certified)
+        walls = supporting_walls_report(P, (7, -2), certified).walls
         assert all(tuple(w.D.coords) != ray_class for w in walls)
         assert all(
             (w.wall_type.square, w.wall_type.div) != (-4, 1) for w in walls

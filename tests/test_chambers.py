@@ -5,6 +5,7 @@ and the dual-cone membership contract."""
 import itertools
 import json
 import random
+import time
 import typing
 from dataclasses import replace
 from decimal import Decimal, localcontext
@@ -31,8 +32,8 @@ from wallkit import (
     in_dual_cone,
     is_positive_class,
     make_context,
-    same_chamber,
-    supporting_walls,
+    orthogonal_complement,
+    short_vectors,
     supporting_walls_report,
     walls_between,
 )
@@ -165,8 +166,41 @@ class TestGoldenChambers:
         g = GOLDEN[name]
         P = g["data"]()
         types = g["types"](P.ctx)
-        walls = supporting_walls(P, P.omega_ref, types)
+        walls = supporting_walls_report(P, P.omega_ref, types).walls
         assert in_dual_cone(P, walls, P.omega_ref)
+
+
+# ---------------------------------------------------------- recorded rank 2
+
+
+SUPPORT_RANK2 = json.loads(
+    (GOLDEN_DIR / "support_rank2.json").read_text(encoding="utf-8")
+)["cases"]
+RANK2_TYPES = {"enumerate": enumerate_wall_types, "certified": certified_wall_types}
+
+
+class TestRank2Recorded:
+    @pytest.mark.parametrize(
+        "case", SUPPORT_RANK2, ids=[f"r{i}" for i in range(len(SUPPORT_RANK2))]
+    )
+    def test_matches_recorded(self, case):
+        query = parse_chamber_query(case["query"])
+        P, omega = query["P"], query["omega"]
+        types = RANK2_TYPES[case["types"]](P.ctx)
+        if "on_wall" in case:
+            with pytest.raises(OnWallError) as ei:
+                supporting_walls_report(P, omega, types, search_bound=query["bound"])
+            w = ei.value.wall
+            named = [list(w.D.coords), w.wall_type.square, w.wall_type.div, str(ei.value)]
+            assert named == case["on_wall"]
+            return
+        rep = supporting_walls_report(P, omega, types, search_bound=query["bound"])
+        got = [
+            [list(w.D.coords), w.wall_type.square, w.wall_type.div, list(w.certificate)]
+            for w in rep.walls
+        ]
+        assert got == case["walls"]
+        assert (rep.exact, rep.search_bound) == (case["exact"], case["search_bound"])
 
 
 # --------------------------------------------------------------- rank 1 and 5
@@ -314,7 +348,7 @@ class TestDualCone:
 
     def test_boundary_class_fails(self):
         P = p2_data()
-        walls = supporting_walls(P, P.omega_ref, enumerate_wall_types(P.ctx))
+        walls = supporting_walls_report(P, P.omega_ref, enumerate_wall_types(P.ctx)).walls
         # H pairs to zero with the tail wall, so it sits on the boundary
         assert not in_dual_cone(P, walls, (1, 0))
 
@@ -359,6 +393,45 @@ class TestPositiveClass:
 # ----------------------------------------------------------- on-wall handling
 
 
+def on_wall_by_square(P, omega, lookup):
+    """The on-wall check that ran one `short_vectors` enumeration per type
+    square, each on its own default budget; the oracle for the single
+    enumeration up to the largest |square|."""
+    comp = orthogonal_complement(P.pic, [chambers._primitive_int(omega)])
+    for s in sorted(lookup, key=abs):
+        for w in short_vectors(comp.source, s):
+            cand = comp.apply(w)
+            if not cand.is_primitive():
+                continue
+            t = lookup[s].get(P.div_of(cand.coords))
+            if t is None:
+                continue
+            raise OnWallError(
+                f"reference class lies on the wall D={cand.coords} "
+                f"of type (square {t.square}, div {t.div})",
+                wall=chambers.Wall(D=cand, wall_type=t),
+            )
+
+
+def on_wall_outcome(check, *args):
+    """(D, type, message) of the wall `check` names, or None."""
+    try:
+        check(*args)
+    except OnWallError as exc:
+        return exc.wall.D.coords, exc.wall.wall_type, str(exc)
+    return None
+
+
+ON_WALL_LATTICES = {
+    "p2": (2, [[2, 0], [0, -2]], [{0: 1, 1: 1}, {22: 1}]),
+    "bm2-n5": (5, [[4, 0], [0, -8]], [{0: 1, 1: 2}, {22: 1}]),
+    "rank3-n2": DIV_LATTICES["rank3-n2"],
+    "rank3-n4": DIV_LATTICES["rank3-n4"],
+    "rank4": DIV_LATTICES["rank4"],
+}
+
+
+
 class TestOnWall:
     def test_reference_on_wall_rejected_by_name(self):
         P = p2_data()
@@ -379,6 +452,52 @@ class TestOnWall:
         P = p2_data()
         with pytest.raises(InputError):
             supporting_walls_report(P, (1, 1), enumerate_wall_types(P.ctx))
+
+    def test_large_reference_fails_fast_at_the_cap(self):
+        # omega-perp has a badly skewed basis here; one enumeration per
+        # type square, each on a fresh default budget, ran 107 s before
+        # tripping
+        P = picard(3, RANK4_GRAM, RANK4_COLS)
+        t0 = time.perf_counter()
+        with pytest.raises(EnumerationBudgetExceeded):
+            supporting_walls_report(
+                P,
+                (441466, 285655, 77904, 51936),
+                certified_wall_types(P.ctx),
+                search_bound=2,
+                max_cells=10_000,
+            )
+        assert time.perf_counter() - t0 < 1
+
+    @pytest.mark.parametrize("name", list(ON_WALL_LATTICES))
+    def test_one_enumeration_matches_per_square_scan(self, name):
+        P = picard(*ON_WALL_LATTICES[name])
+        lookup = chambers._type_lookup(enumerate_wall_types(P.ctx))
+        typed = [
+            x
+            for x in itertools.product(range(-2, 3), repeat=P.pic.rank)
+            if any(x) and gcd(*x) == 1 and chambers._match_type(P, x, lookup)
+        ]
+        rng = random.Random(name)
+        off = []
+        for k in range(16):
+            on = k % 2
+            high = 6 if on else 30
+            while True:
+                y = tuple(rng.randint(-high, high) for _ in range(P.pic.rank))
+                if P.pic.norm(y) > 0:
+                    break
+            if on:
+                # onto the perpendicular of a typed class: still positive
+                D = rng.choice(typed)
+                y = tuple(P.pic.norm(D) * a - P.pic.inner(y, D) * d for a, d in zip(y, D))
+            omega = tuple(map(Fraction, y))
+            want = on_wall_outcome(on_wall_by_square, P, omega, lookup)
+            got = on_wall_outcome(chambers._check_on_wall, P, omega, lookup, CellBudget())
+            assert got == want, omega
+            assert got is not None or not on
+            off.append(got is None)
+        assert any(off)
 
 
 # -------------------------------------------------------- segment wall lists
@@ -645,24 +764,23 @@ class TestSameChamber:
     def test_scaling_invariance(self):
         P = p2_data()
         types = enumerate_wall_types(P.ctx)
-        assert same_chamber(P, (2, -1), (4, -2), types)
+        assert not walls_between(P, (2, -1), (4, -2), types)
 
     def test_rank3_perturbation(self):
         P = rank3_data()
         types = enumerate_wall_types(P.ctx)
-        assert same_chamber(P, (5, 3, 1), (6, 4, 1), types)
+        assert not walls_between(P, (5, 3, 1), (6, 4, 1), types)
 
     def test_rank3_distant_pair_differs(self):
         P = rank3_data()
         types = enumerate_wall_types(P.ctx)
-        assert not same_chamber(P, (5, 3, 1), (1, 9, 1), types)
         assert len(walls_between(P, (5, 3, 1), (1, 9, 1), types)) == 4
 
     def test_symmetry(self):
         P = rank3_data()
         types = enumerate_wall_types(P.ctx)
         for a, b in [((5, 3, 1), (6, 4, 1)), ((5, 3, 1), (1, 9, 1))]:
-            assert same_chamber(P, a, b, types) == same_chamber(P, b, a, types)
+            assert bool(walls_between(P, a, b, types)) == bool(walls_between(P, b, a, types))
 
 
 # ------------------------------------------------------------- rank-3 search
@@ -693,7 +811,7 @@ class TestRank3Chamber:
 
     def test_certificates_certify(self):
         P = rank3_data()
-        walls = supporting_walls(P, (5, 3, 1), enumerate_wall_types(P.ctx))
+        walls = supporting_walls_report(P, (5, 3, 1), enumerate_wall_types(P.ctx)).walls
         for w in walls:
             assert P.pic.norm(w.certificate) > 0
             assert P.pic.inner(w.certificate, w.D.coords) == 0
@@ -704,7 +822,7 @@ class TestRank3Chamber:
 
     def test_reference_in_dual_cone(self):
         P = rank3_data()
-        walls = supporting_walls(P, (5, 3, 1), enumerate_wall_types(P.ctx))
+        walls = supporting_walls_report(P, (5, 3, 1), enumerate_wall_types(P.ctx)).walls
         assert in_dual_cone(P, walls, (5, 3, 1))
 
     def test_budget_trips(self):
@@ -732,14 +850,14 @@ class TestPathConsistency:
         inside = [(2, -1), (4, -2), (3, -1), (5, -2)]
         for a in inside:
             for b in inside:
-                assert same_chamber(P, a, b, types)
+                assert not walls_between(P, a, b, types)
 
     def test_segment_respects_support(self):
         # crossing into the chamber across a supporting wall reports
         # exactly that wall for a short enough hop
         P = p2_data()
         types = enumerate_wall_types(P.ctx)
-        walls = supporting_walls(P, (2, -1), types)
+        walls = supporting_walls_report(P, (2, -1), types).walls
         by_D = {tuple(w.D.coords): w for w in walls}
         # hop across the tail wall: reflect omega in (0,1)
         found = walls_between(P, (2, -1), (2, 1), types)
@@ -755,13 +873,12 @@ SUPPORT_RANDOM = json.loads(
 WRONG_COMPONENT_OMEGA = (12, Fraction(26, 3), 9)
 
 
-def flip_first_certificate(search):
-    """Wrap a support search so that its first certificate is negated."""
+def flip_first_certificate(facet_step):
+    """Wrap the facet step so that its first certificate is negated."""
 
     def broken(*args):
-        walls, exact = search(*args)
-        first = replace(walls[0], certificate=tuple(-c for c in walls[0].certificate))
-        return [first, *walls[1:]], exact
+        first, *rest = facet_step(*args)
+        return [replace(first, certificate=tuple(-c for c in first.certificate)), *rest]
 
     return broken
 
@@ -826,8 +943,16 @@ class TestFacetSearch:
 
     def test_broken_certificate_is_internal_error(self, monkeypatch):
         monkeypatch.setattr(
-            chambers, "_support_general", flip_first_certificate(chambers._support_general)
+            chambers, "_facet_walls", flip_first_certificate(chambers._facet_walls)
         )
         P = rank3_data()
         with pytest.raises(InternalError):
             supporting_walls_report(P, (5, 3, 1), enumerate_wall_types(P.ctx))
+
+    def test_broken_rank2_certificate_is_internal_error(self, monkeypatch):
+        monkeypatch.setattr(
+            chambers, "_facet_walls", flip_first_certificate(chambers._facet_walls)
+        )
+        P = p2_data()
+        with pytest.raises(InternalError):
+            supporting_walls_report(P, P.omega_ref, enumerate_wall_types(P.ctx))

@@ -411,7 +411,7 @@ class TestChamber:
 
     def test_internal_error_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            chambers, "_support_general", flip_first_certificate(chambers._support_general)
+            chambers, "_facet_walls", flip_first_certificate(chambers._facet_walls)
         )
         code, out, err = run(capsys, "chamber", "--input", RK3_QUERY())
         assert code == cli.EXIT_INTERNAL == 4
@@ -525,7 +525,7 @@ class TestDeterminism:
         script = (
             "import sys; from wallkit import chambers, cli; "
             "from test_chambers import flip_first_certificate as flip; "
-            "chambers._support_general = flip(chambers._support_general); "
+            "chambers._facet_walls = flip(chambers._facet_walls); "
             "sys.exit(cli.main(sys.argv[1:]))"
         )
         env = subprocess_env(Path(__file__).resolve().parent)
