@@ -31,6 +31,7 @@ The environment variable WALLKIT_MAX_CELLS caps enumeration work (default
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -68,6 +69,8 @@ _FLAGS = {
 }
 
 
+# One parser per process: parse_args keeps no state between calls.
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="wallkit",

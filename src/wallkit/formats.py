@@ -84,20 +84,23 @@ def parse_rational_vector(obj, rank: int | None = None) -> tuple[Fraction, ...]:
 # ------------------------------------------------------------------ lattices
 
 
+def _int_rows(matrix, what: str) -> tuple[tuple[int, ...], ...]:
+    if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
+        raise InputError(f"{what} must be a list of rows")
+    return tuple(tuple(_int(c) for c in row) for row in matrix)
+
+
 def lattice_from_json(obj) -> IntegerLattice:
     if not isinstance(obj, dict) or "gram" not in obj:
         raise InputError('lattice JSON needs a "gram" matrix')
-    gram = obj["gram"]
-    if not isinstance(gram, list) or not gram:
+    rows = _int_rows(obj["gram"], "gram")
+    if not rows:
         raise InputError("gram must be a nonempty matrix")
-    rows = tuple(tuple(_int(c) for c in row) for row in gram)
     return IntegerLattice(rows, label=str(obj.get("label", "")) or None)
 
 
 def embedding_from_json(source: IntegerLattice, target: IntegerLattice, matrix) -> Embedding:
-    if not isinstance(matrix, list):
-        raise InputError("embedding matrix must be a list of rows")
-    rows = tuple(tuple(_int(c) for c in row) for row in matrix)
+    rows = _int_rows(matrix, "embedding matrix")
     if len(rows) != target.rank or any(len(r) != source.rank for r in rows):
         raise InputError(
             f"embedding matrix must be {target.rank}x{source.rank} (rows x cols)"
@@ -235,7 +238,7 @@ def load_json(path_or_inline: str):
         try:
             with open(text, "r", encoding="utf-8") as fh:
                 stripped = fh.read()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
             raise InputError(f"cannot read input {text!r}: {exc}") from exc
     try:
         return json.loads(stripped)

@@ -1,6 +1,7 @@
 """Command-line surface: payload parsing, output formats, caveat routing,
 exit codes, and byte-level determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -35,7 +36,11 @@ N3_CSV = "r2,D2,div\n-2,-2,1\n-1,-4,2\n-3,-12,2\n-1/4,-4,4\n-9/4,-36,4\n"
 
 
 def run(capsys, *argv):
-    code = cli.main(list(argv))
+    """cli.main's exit code, or the code argparse exits with, and the output."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -383,6 +388,32 @@ class TestChamber:
         assert "error:" in err
 
     @pytest.mark.parametrize(
+        "name", ["query.json", "query\x00.json"], ids=["non_utf8", "nul_in_path"]
+    )
+    def test_unreadable_input_file_is_input_error(self, capsys, tmp_path, name):
+        (tmp_path / "query.json").write_bytes(b"\xff\xfe{")
+        code, out, err = run(capsys, "chamber", "--input", str(tmp_path / name))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read input")
+
+    @pytest.mark.parametrize(
+        "key, flat, says",
+        [
+            ("pic_gram", [2, 1], "gram must be a list of rows"),
+            ("embed", [1] + [0] * 22, "embedding matrix must be a list of rows"),
+        ],
+        ids=["lattice_from_json", "embedding_from_json"],
+    )
+    def test_non_list_matrix_row_is_input_error(self, capsys, key, flat, says):
+        query = json.loads(P2_QUERY())
+        query[key] = flat
+        code, out, err = run(capsys, "chamber", "--input", json.dumps(query))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {says}\n"
+
+    @pytest.mark.parametrize(
         "end", [{"alpha": [2, -1]}, {"beta": [2, 1]}], ids=["alpha", "beta"]
     )
     def test_half_segment_rejected(self, capsys, end):
@@ -545,3 +576,57 @@ class TestDeterminism:
         assert res.returncode == 0
         doc = json.loads(res.stdout)
         assert doc["exact"] is True
+
+
+# ----------------------------------------------------------- shared parser
+
+
+class TestSharedParser:
+    """main parses with one parser per process, which keeps no state from
+    one call to the next."""
+
+    # Help texts recorded with COLUMNS=80 before main shared one parser.
+    @pytest.mark.parametrize(
+        "name", ["top", "tabulate", "wall-test", "orbit", "chamber", "verify"]
+    )
+    def test_help_golden(self, capsys, monkeypatch, name):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [] if name == "top" else [name]
+        code, out, err = run(capsys, *argv, "--help")
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / f"help_{name}.txt").read_text(encoding="utf-8")
+
+    def test_calls_match_fresh_processes(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        calls = [
+            ["wall-test"],
+            ["chamber", "--help"],
+            ["tabulate", "--n", "3", "--certified", "--format", "json"],
+            ["wall-test", "--n", "3", "--format", "json", "--input", TAIL_CLASS],
+            ["orbit", "--n", "2", "--format", "json", "--input", ROOT_PAIR],
+            ["chamber", "--format", "json", "--input", P2_QUERY()],
+            ["verify", "--fixture", "delta", "--format", "json"],
+        ]
+        in_process = [run(capsys, *argv) for argv in calls]
+        assert in_process[0][0] == 2 and "required: --n" in in_process[0][2]
+        assert in_process[1][0] == 0
+        for argv, (code, out, err) in zip(calls, in_process):
+            fresh = run_proc(*argv, env_extra={"COLUMNS": "80"})
+            assert (code, out.encode(), err.encode()) == (
+                fresh.returncode, fresh.stdout, fresh.stderr
+            ), argv
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run(capsys, "tabulate", "--n", "2", "--format", "csv")[0] == 0
+        built.clear()
+        assert run(capsys, "tabulate", "--n", "3", "--format", "csv")[0] == 0
+        assert run(capsys, "chamber", "--input", P2_QUERY())[0] == 0
+        assert built == []
