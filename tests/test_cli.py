@@ -36,11 +36,7 @@ N3_CSV = "r2,D2,div\n-2,-2,1\n-1,-4,2\n-3,-12,2\n-1/4,-4,4\n-9/4,-36,4\n"
 
 
 def run(capsys, *argv):
-    """cli.main's exit code, or the code argparse exits with, and the output."""
-    try:
-        code = cli.main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
+    code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -581,6 +577,17 @@ class TestDeterminism:
 # ----------------------------------------------------------- shared parser
 
 
+def run_or_exit(capsys, *argv):
+    """Like `run`, but an argparse exit (an error or --help) is caught and
+    its code returned in place of main's."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 class TestSharedParser:
     """main parses with one parser per process, which keeps no state from
     one call to the next."""
@@ -592,7 +599,7 @@ class TestSharedParser:
     def test_help_golden(self, capsys, monkeypatch, name):
         monkeypatch.setenv("COLUMNS", "80")
         argv = [] if name == "top" else [name]
-        code, out, err = run(capsys, *argv, "--help")
+        code, out, err = run_or_exit(capsys, *argv, "--help")
         assert (code, err) == (0, "")
         assert out == (GOLDEN / f"help_{name}.txt").read_text(encoding="utf-8")
 
@@ -607,7 +614,7 @@ class TestSharedParser:
             ["chamber", "--format", "json", "--input", P2_QUERY()],
             ["verify", "--fixture", "delta", "--format", "json"],
         ]
-        in_process = [run(capsys, *argv) for argv in calls]
+        in_process = [run_or_exit(capsys, *argv) for argv in calls]
         assert in_process[0][0] == 2 and "required: --n" in in_process[0][2]
         assert in_process[1][0] == 0
         for argv, (code, out, err) in zip(calls, in_process):
