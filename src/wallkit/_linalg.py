@@ -14,6 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .errors import InternalError
+
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
 
@@ -182,6 +184,72 @@ def kernel_basis(m: Sequence[Sequence[int]]) -> tuple[IntVector, ...]:
     rank = sum(1 for i in range(min(nr, nc)) if d[i][i] != 0)
     cols = transpose(q)
     return tuple(cols[j] for j in range(rank, nc))
+
+
+def lll_reduce(gram: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix]:
+    """LLL reduction with delta = 3/4 of a positive-definite integer Gram.
+
+    Returns (U, U G U^T): the rows of the unimodular U are the reduced
+    basis in the old one.  Cohen's integral algorithm (GTM 138, Alg. 2.6.7)
+    works on the Gram matrix itself.  It keeps the Gram-Schmidt
+    determinants d[i] (d[0] = 1) and lam[k][j] = d[j+1] mu_kj, which are
+    integers, so every division below is exact.  Raises InternalError when
+    some d[i] is not positive, i.e. the form is not positive definite.
+    """
+    n = len(gram)
+    g = [list(row) for row in gram]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+
+    def reduce(k, l):  # size-reduce b_k against b_l: |mu_kl| <= 1/2
+        q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+        if q:
+            u[k] = [x - q * y for x, y in zip(u[k], u[l])]
+            g[k] = [x - q * y for x, y in zip(g[k], g[l])]
+            for row in g:
+                row[k] -= q * row[l]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    k = kmax = 0
+    while k < n:
+        if k == kmax:  # first visit of b_k: its Gram-Schmidt data
+            kmax = k + 1
+            for j in range(k + 1):
+                x = g[k][j]
+                for i in range(j):
+                    x = (d[i + 1] * x - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = x
+            if x <= 0:
+                raise InternalError(f"LLL of a form that is not positive definite: {gram}")
+            d[k + 1] = x
+            if k == 0:
+                k = 1
+                continue
+        reduce(k, k - 1)
+        lk = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] * d[k] - 4 * lk * lk:  # Lovasz
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+            continue
+        u[k], u[k - 1] = u[k - 1], u[k]
+        g[k], g[k - 1] = g[k - 1], g[k]
+        for row in g:
+            row[k], row[k - 1] = row[k - 1], row[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        b = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for i in range(k + 1, kmax):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+            lam[i][k - 1] = (b * t + lk * lam[i][k]) // d[k + 1]
+        d[k] = b
+        k = max(1, k - 1)
+    return tuple(map(tuple, u)), tuple(map(tuple, g))
 
 
 def solve_rational(m: Sequence[Sequence], b: Sequence) -> tuple[Fraction, ...] | None:

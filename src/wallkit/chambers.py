@@ -8,7 +8,7 @@ All questions are reduced to exact finite enumerations:
   an explicit q_a bound derived from Cauchy-Schwarz for the majorant (see
   `walls_between`).  Enumerating that ball is therefore complete.
 * A supporting-wall search first checks that omega lies on no wall (one
-  enumeration of the negative definite omega-perp), then gathers typed
+  enumeration of the reduced, negative definite omega-perp), then gathers typed
   candidate classes, which differ by rank.  In rank 2 they are complete:
   when the Picard form splits off a hyperbolic plane over Q, from divisor
   pairs with no height cap at all; otherwise the classes of the height
@@ -504,17 +504,18 @@ def _check_on_wall(P: PicardData, omega, lookup, budget: CellBudget):
 
     Exact and independent of any height bound: omega-perp in pic is
     negative definite, so one enumeration up to the largest |square| finds
-    every such class.  The wall named is the first by |square|, then by
-    coordinates in the complement's basis.
+    every such class.  The enumeration runs in an LLL-reduced basis U, as
+    the complement's basis is badly skewed for a large omega; the wall named
+    is the first by |square|, then by coordinates w = U^T y in the latter.
     """
     comp = orthogonal_complement(P.pic, [_primitive_int(omega)])
-    sub = comp.source
-    neg = tuple(tuple(-g for g in row) for row in sub.gram)
-    # type squares are negative: -s is |s|
+    u, red = la.lll_reduce(tuple(tuple(-g for g in row) for row in comp.source.gram))
+    ut = la.transpose(u)
+    # type squares are negative: red(y) is |s|
     hits = sorted(
-        (-s, w)
-        for w in enumerate_quadratic_leq(neg, max(map(abs, lookup)), budget)
-        if (s := sub.norm(w)) in lookup
+        (minus_s, la.mat_vec(ut, y))
+        for y in enumerate_quadratic_leq(red, max(map(abs, lookup)), budget)
+        if -(minus_s := la.vec_mat_vec(y, red, y)) in lookup
     )
     for minus_s, w in hits:
         cand = comp.apply(w)

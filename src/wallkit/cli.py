@@ -163,8 +163,8 @@ def cmd_wall_test(args) -> int:
             raise InputError("wall tests take nonzero primitive classes")
         square, div = D.norm(), divisibility(ctx.ambient, coords)
     elif "square" in payload and "div" in payload:
-        square = int(fmt.parse_frac(payload["square"]))
-        div = int(fmt.parse_frac(payload["div"]))
+        square = fmt._int(payload["square"])
+        div = fmt._int(payload["div"])
         exists, witness_class = wl.wall_type_exists(ctx, square, div)
         if not exists:
             raise InputError(

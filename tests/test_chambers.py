@@ -40,7 +40,7 @@ from wallkit import (
 import wallkit._linalg as la
 from wallkit import chambers
 from wallkit.chambers import MAX_PICARD_RANK
-from wallkit.shortvec import CellBudget
+from wallkit.shortvec import CellBudget, enumerate_quadratic_leq
 from wallkit.formats import parse_chamber_query
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -413,6 +413,22 @@ def on_wall_by_square(P, omega, lookup):
             )
 
 
+def on_wall_by_majorant_ball(P, omega, lookup):
+    """Typed primitive classes orthogonal to omega, up to sign.  A class
+    with (D, omega) = 0 has q_omega(D) = |D^2|, so the majorant ball
+    {q_omega <= max|s|} holds them all; |det q_omega| = |det G|, so the
+    ball does not grow with omega."""
+    gram = chambers._majorant_gram(P, omega)
+    om = chambers._primitive_int(omega)
+    return {
+        unsigned(x)
+        for x in enumerate_quadratic_leq(gram, max(map(abs, lookup)))
+        if P.pic.inner(x, om) == 0
+        and gcd(*x) == 1
+        and chambers._match_type(P, x, lookup) is not None
+    }
+
+
 def on_wall_outcome(check, *args):
     """(D, type, message) of the wall `check` names, or None."""
     try:
@@ -421,6 +437,8 @@ def on_wall_outcome(check, *args):
         return exc.wall.D.coords, exc.wall.wall_type, str(exc)
     return None
 
+
+LARGE_OMEGA = (441466, 285655, 77904, 51936)
 
 ON_WALL_LATTICES = {
     "p2": (2, [[2, 0], [0, -2]], [{0: 1, 1: 1}, {22: 1}]),
@@ -453,20 +471,40 @@ class TestOnWall:
         with pytest.raises(InputError):
             supporting_walls_report(P, (1, 1), enumerate_wall_types(P.ctx))
 
-    def test_large_reference_fails_fast_at_the_cap(self):
-        # omega-perp has a badly skewed basis here; one enumeration per
-        # type square, each on a fresh default budget, ran 107 s before
-        # tripping
+    # The rank-4 query below has a badly skewed omega-perp basis.  Until the
+    # check enumerated an LLL-reduced basis, it spent the whole default cap
+    # of 10^8 cells (about two minutes) there and raised.  The golden is the
+    # report recorded before that change with only the check bypassed,
+    # since the majorant ball finds no typed class orthogonal to omega.
+    @pytest.mark.parametrize("bound, gate", [(2, 1), (12, 10)])
+    def test_large_reference_answers_its_golden(self, bound, gate):
         P = picard(3, RANK4_GRAM, RANK4_COLS)
+        types = certified_wall_types(P.ctx)
+        t0 = time.perf_counter()
+        report = supporting_walls_report(P, LARGE_OMEGA, types, search_bound=bound)
+        elapsed = time.perf_counter() - t0
+        doc = json.loads(
+            (GOLDEN_DIR / f"chamber_rk4_large_b{bound}_json.txt").read_text(encoding="utf-8")
+        )
+        got = [
+            [list(w.D.coords), w.wall_type.square, w.wall_type.div, list(w.certificate)]
+            for w in report.walls
+        ]
+        assert got == [[s["D"], s["square"], s["div"], s["certificate"]] for s in doc["supporting"]]
+        assert (report.exact, report.search_bound) == (doc["exact"], doc["search_bound"])
+        assert elapsed < gate, f"B={bound} took {elapsed:.2f} s against a {gate} s gate"
+
+    def test_large_reference_below_the_checks_need_fails_fast(self):
+        P = picard(3, RANK4_GRAM, RANK4_COLS)
+        types = certified_wall_types(P.ctx)
+        need = CellBudget(10_000)
+        chambers._check_on_wall(
+            P, tuple(map(Fraction, LARGE_OMEGA)), chambers._type_lookup(types), need
+        )
+        assert need.used > 2
         t0 = time.perf_counter()
         with pytest.raises(EnumerationBudgetExceeded):
-            supporting_walls_report(
-                P,
-                (441466, 285655, 77904, 51936),
-                certified_wall_types(P.ctx),
-                search_bound=2,
-                max_cells=10_000,
-            )
+            supporting_walls_report(P, LARGE_OMEGA, types, search_bound=2, max_cells=2)
         assert time.perf_counter() - t0 < 1
 
     @pytest.mark.parametrize("name", list(ON_WALL_LATTICES))
@@ -498,6 +536,40 @@ class TestOnWall:
             assert got is not None or not on
             off.append(got is None)
         assert any(off)
+
+    @pytest.mark.parametrize("name", list(DIV_LATTICES))
+    def test_large_omega_matches_majorant_ball(self, name):
+        # ranks 2 to 5, coordinates of 10^4 to 10^6; every other omega is
+        # projected onto the perp of a typed class
+        P = picard(*DIV_LATTICES[name])
+        lookup = chambers._type_lookup(enumerate_wall_types(P.ctx))
+        typed = [
+            x
+            for x in itertools.product(range(-2, 3), repeat=P.pic.rank)
+            if any(x) and gcd(*x) == 1 and chambers._match_type(P, x, lookup)
+        ]
+        rng = random.Random(name)
+        for k in range(8):
+            while True:
+                y = tuple(rng.choice((-1, 1)) * rng.randint(10**4, 10**6) for _ in range(P.pic.rank))
+                if P.pic.norm(y) > 0:
+                    break
+            if k % 2:
+                # onto the perpendicular of a typed class: still positive
+                D = rng.choice(typed)
+                y = tuple(P.pic.norm(D) * a - P.pic.inner(y, D) * d for a, d in zip(y, D))
+            omega = tuple(map(Fraction, y))
+            budget = CellBudget()
+            got = on_wall_outcome(chambers._check_on_wall, P, omega, lookup, budget)
+            ball = on_wall_by_majorant_ball(P, omega, lookup)
+            assert (got is None) == (not ball), omega
+            assert got is not None or not k % 2
+            if got is not None:
+                D, t, _ = got
+                assert unsigned(D) in ball
+                assert -t.square == min(-P.pic.norm(x) for x in ball)
+            # the reduced omega-perp is cheap whatever the size of omega
+            assert budget.used < 1000, (omega, budget.used)
 
 
 # -------------------------------------------------------- segment wall lists

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from test_chambers import (
+    LARGE_OMEGA,
     RANK4_COLS,
     RANK4_GRAM,
     RANK5_COLS,
@@ -259,6 +260,27 @@ class TestWallTest:
         assert code == 2
         assert "--input" in err
 
+    @pytest.mark.parametrize(
+        "payload",
+        ['{"square": "-5/2", "div": 2}', '{"square": -2, "div": "3/2"}'],
+        ids=["square", "div"],
+    )
+    def test_fractional_type_is_input_error(self, capsys, payload):
+        code, out, err = run(capsys, "wall-test", "--n", "2", "--input", payload)
+        assert code == 2
+        assert out == ""
+        assert "expected an integer" in err
+
+    def test_integer_string_type_accepted(self, capsys):
+        code, out, _ = run(
+            capsys, "wall-test", "--n", "2", "--format", "json",
+            "--input", '{"square": "-2", "div": 1}',
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["square"] == -2 and payload["div"] == 1
+        assert payload["detected"] is True
+
     def test_imprimitive_class_rejected(self, capsys):
         coords = json.dumps({"coords": ambient_coords({0: 2, 1: -2})})
         code, _, err = run(capsys, "wall-test", "--n", "2", "--input", coords)
@@ -479,6 +501,17 @@ class TestChamber:
         assert err == ""
         assert out == (GOLDEN / f"chamber_{name}_json.txt").read_text(encoding="utf-8")
         assert elapsed < 10, f"{name} took {elapsed:.1f} s against a 10 s gate"
+
+    def test_large_reference_exits_0_in_a_fresh_process(self):
+        # the on-wall check of this query once spent the whole default cap
+        # and exited 2 after about a minute
+        query = chamber_query(RANK4_GRAM, RANK4_COLS, list(LARGE_OMEGA), n=3, bound=2)
+        res = run_proc("chamber", "--format", "json", "--input", query)
+        assert res.returncode == 0
+        assert res.stderr == b""
+        assert res.stdout.decode() == (GOLDEN / "chamber_rk4_large_b2_json.txt").read_text(
+            encoding="utf-8"
+        )
 
 
 # ------------------------------------------------------------------- verify

@@ -1,6 +1,9 @@
 """Exact integer linear algebra checked against independent oracles."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from typing import Sequence
 
@@ -10,10 +13,13 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 import wallkit._linalg as la
 from test_chambers import DIV_LATTICES, picard
+from test_cli import subprocess_env
 from wallkit import (
     IntegerLattice,
+    InternalError,
     direct_sum,
     discriminant_group,
+    orthogonal_complement,
     saturation,
     standard_lattice,
 )
@@ -386,3 +392,94 @@ class TestSignature:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             la.signature_of(((0, 0), (0, 2)))
+
+
+def large_omega(rng, pic):
+    """A positive class of `pic` with coordinates of 10^4 to 10^6."""
+    while True:
+        omega = tuple(rng.choice((-1, 1)) * rng.randint(10**4, 10**6) for _ in range(pic.rank))
+        if pic.norm(omega) > 0:
+            return omega
+
+
+def omega_perp_grams(seed, per_lattice):
+    """Negated Grams of omega-perp for large omega: the forms the on-wall
+    check reduces, of rank 1 to 4 and very skewed."""
+    rng = random.Random(seed)
+    out = []
+    for n, gram, cols in DIV_LATTICES.values():
+        pic = picard(n, gram, cols).pic
+        for _ in range(per_lattice):
+            sub = orthogonal_complement(pic, [large_omega(rng, pic)]).source
+            out.append(tuple(tuple(-g for g in row) for row in sub.gram))
+    return out
+
+
+def random_definite_grams(seed, count):
+    """B B^T for random nonsingular integer B of rank 1 to 5, some with a
+    skewed last row."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 5)
+        b = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.5:
+            b[-1] = [x + rng.randint(100, 10**4) * y for x, y in zip(b[-1], b[0])]
+        if la.bareiss_det(b) == 0:
+            continue
+        out.append(la.mat_mul(b, la.transpose(b)))
+    return out
+
+
+def gram_schmidt(gram):
+    """(mu, B*) of a Gram matrix in Fractions: mu[i][j] for j < i and the
+    squared lengths B*_i, by the textbook recursion."""
+    n = len(gram)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    bstar = []
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (gram[i][j] - sum(mu[j][k] * mu[i][k] * bstar[k] for k in range(j))) / bstar[j]
+        bstar.append(gram[i][i] - sum(mu[i][k] ** 2 * bstar[k] for k in range(i)))
+    return mu, bstar
+
+
+class TestLLL:
+    @pytest.mark.parametrize(
+        "grams",
+        [random_definite_grams(71, 80), omega_perp_grams(73, 6)],
+        ids=["random", "omega_perp"],
+    )
+    def test_reduced_and_unimodular(self, grams):
+        for g in grams:
+            u, red = la.lll_reduce(g)
+            assert all(type(x) is int for row in u for x in row)
+            assert abs(la.bareiss_det(u)) == 1
+            assert red == la.mat_mul(la.mat_mul(u, g), la.transpose(u))
+            mu, bstar = gram_schmidt(red)
+            for i in range(len(g)):
+                assert all(abs(mu[i][j]) <= Fraction(1, 2) for j in range(i)), g
+                if i:
+                    assert bstar[i] >= (Fraction(3, 4) - mu[i][i - 1] ** 2) * bstar[i - 1], g
+
+    def test_rank_0_and_reduced_input(self):
+        assert la.lll_reduce(()) == ((), ())
+        eye = ((1, 0), (0, 1))
+        assert la.lll_reduce(eye) == (eye, eye)
+
+    @pytest.mark.parametrize("gram", [((1, 2), (2, 1)), ((0,),), ((-2,),), ((2, 1), (1, 0))])
+    def test_indefinite_is_internal_error(self, gram):
+        with pytest.raises(InternalError, match="not positive definite"):
+            la.lll_reduce(gram)
+
+    def test_indefinite_is_internal_error_under_optimize(self):
+        # python -O strips asserts; the positivity check must still fire
+        script = "import wallkit._linalg as la; la.lll_reduce(((1, 2), (2, 1)))"
+        res = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            env=subprocess_env(),
+            timeout=60,
+        )
+        assert res.returncode == 1
+        assert b"InternalError: LLL of a form that is not positive definite" in res.stderr
