@@ -1,5 +1,6 @@
 """Short-vector enumeration against brute-force and root-system oracles."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -199,3 +200,51 @@ class TestRandomRationalForms:
                 la.vec_mat_vec(x, gram, x) == bound
                 for x in enumerate_quadratic_leq(gram, bound)
             )
+
+
+# --------------------------------------- recorded short_vectors outputs and cells
+
+SHORT_VECTORS = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "short_vectors_random.json").read_text(
+        encoding="utf-8"
+    )
+)
+
+
+def assert_cells(lattice, target, cells):
+    """short_vectors fits in exactly `cells`: it passes at that cap and trips one below."""
+    got = [list(v.coords) for v in short_vectors(lattice, target, max_cells=cells)]
+    if cells > 1:
+        with pytest.raises(EnumerationBudgetExceeded):
+            short_vectors(lattice, target, max_cells=cells - 1)
+    return got
+
+
+class TestRecordedShortVectors:
+    def test_e8_cells(self):
+        assert [c["cells"] for c in SHORT_VECTORS["e8"]] == [786, 6004, 21196, 55420]
+
+    def test_e8_cap_boundary(self):
+        e8 = standard_lattice("E8(-1)")
+        assert len(short_vectors(e8, -8, max_cells=55_420)) == 17520
+        with pytest.raises(EnumerationBudgetExceeded):
+            short_vectors(e8, -8, max_cells=55_419)
+
+    @pytest.mark.parametrize("case", SHORT_VECTORS["e8"], ids=lambda c: f"e8{c['target']}")
+    def test_e8_shells(self, case):
+        got = assert_cells(standard_lattice("E8(-1)"), case["target"], case["cells"])
+        assert len(got) == case["count"]
+        digest = hashlib.sha256(json.dumps(got, separators=(",", ":")).encode()).hexdigest()
+        assert digest == case["sha256"]
+        if "vectors" in case:
+            assert got == case["vectors"]
+
+    @pytest.mark.parametrize(
+        "case",
+        SHORT_VECTORS["lattices"],
+        ids=[f"l{i}" for i in range(len(SHORT_VECTORS["lattices"]))],
+    )
+    def test_seeded_lattices(self, case):
+        lattice = IntegerLattice(tuple(map(tuple, case["gram"])))
+        for shell in case["shells"]:
+            assert assert_cells(lattice, shell["target"], shell["cells"]) == shell["vectors"]

@@ -441,6 +441,28 @@ class TestOrbits:
         with pytest.raises(InputError):
             eichler_transvection(ctx.ambient, basis(23, {22: 1}), basis(23, {0: 1}))
 
+    def test_transvection_requires_orthogonal_partner(self):
+        ctx = make_context(2)
+        with pytest.raises(InputError):
+            eichler_transvection(ctx.ambient, basis(23, {0: 1}), basis(23, {1: 1}))
+
+
+TRANSVECTIONS = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "eichler_transvection_random.json").read_text(
+        encoding="utf-8"
+    )
+)["cases"]
+
+
+@pytest.mark.parametrize("case", TRANSVECTIONS, ids=[f"t{i}" for i in range(len(TRANSVECTIONS))])
+def test_transvection_matches_recorded(case):
+    mat = eichler_transvection(make_context(case["n"]).ambient, case["e"], case["a"])
+    expected = [[int(i == j) for j in range(23)] for i in range(23)]
+    for i, j, v in case["minus_identity"]:
+        expected[i][j] += v
+    assert mat == tuple(map(tuple, expected))
+    assert all(type(x) is int for row in mat for x in row)
+
 
 class TestDualRay:
     @pytest.mark.parametrize("n", [2, 3, 5])
