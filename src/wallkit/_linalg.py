@@ -90,8 +90,8 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix,
     a = [list(map(int, row)) for row in m]
     nr = len(a)
     nc = len(a[0]) if nr else 0
-    p = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    q = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    p = [[0] * i + [1] + [0] * (nr - i - 1) for i in range(nr)]
+    q = [[0] * i + [1] + [0] * (nc - i - 1) for i in range(nc)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]

@@ -97,13 +97,13 @@ class IntegerLattice:
         return f"IntegerLattice({name}, rank={self.rank})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatticeVector:
     lattice: IntegerLattice
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        c = tuple(int(x) for x in self.coords)
+        c = tuple(map(int, self.coords))
         if len(c) != self.lattice.rank:
             raise InputError("coordinate length does not match lattice rank")
         object.__setattr__(self, "coords", c)

@@ -4,8 +4,10 @@ Fincke-Pohst in integers.  A Fraction-valued Cholesky-style decomposition
 checks definiteness; its rows are then brought to one common denominator,
 so the recursion adds, multiplies and compares integers only and knows
 each point's exact slack (the bound minus its value, times that
-denominator).  `short_vectors` keeps the points of slack 0 instead of
-recomputing norms.  Every bound is tested in exact arithmetic, so the
+denominator).  `short_vectors` walks one of each pair x, -x (a
+sign-symmetric walk that charges the same cells as the full one) and
+keeps the points of slack 0 with their negatives instead of recomputing
+norms.  Every bound is tested in exact arithmetic, so the
 enumeration is provably complete (no floating-point fudge factors).  All
 routines honor a cell budget so oversized requests fail fast instead of
 hanging.
@@ -83,7 +85,7 @@ def _fp_decompose(gram: Sequence[Sequence]) -> list[list[Fraction]]:
 
 
 def _fp_points(
-    q: list[list[Fraction]], bound: Fraction, budget: CellBudget
+    q: list[list[Fraction]], bound: Fraction, budget: CellBudget, half: bool = False
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Yield (x, M * (bound - Q(x))) for every nonzero x with Q(x) <= bound.
 
@@ -96,6 +98,13 @@ def _fp_points(
     ascending order.  On entry it charges the budget one cell per k of the
     classical bracket [floor(-c) - m, ceil(-c) + m] around the centre
     -c = -C / e_i, with m = isqrt(floor(R / (M q_ii))), which contains them.
+
+    With `half`, only one of each pair x, -x is yielded: the one whose last
+    nonzero coordinate is positive.  On the spine, where every coordinate
+    above the level is 0, the centre is 0 and the bracket symmetric, so the
+    level tries k >= 0 only; a level entered off the spine is charged twice,
+    for itself and for its mirror under x -> -x, whose bracket has the same
+    size.  The cells charged are then those of the full walk.
     """
     n = len(q)
     e = [math.lcm(*(q[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
@@ -104,25 +113,26 @@ def _fp_points(
     a = [[int(e[i] * q[i][j]) if j > i else 0 for j in range(n)] for i in range(n)]
     x = [0] * n
 
-    def level(i: int, rem: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    def level(i: int, rem: int, spine: bool) -> Iterator[tuple[tuple[int, ...], int]]:
         ei, wi, ai = e[i], w[i], a[i]
         c = 0
         for j in range(i + 1, n):
             if x[j]:
                 c += ai[j] * x[j]
         m = math.isqrt(rem // (wi * ei * ei))
-        budget.spend(-(c // ei) - (-c // ei) + 2 * m + 1)
+        cells = -(c // ei) - (-c // ei) + 2 * m + 1
+        budget.spend(cells if spine or not half else 2 * cells)
         s = math.isqrt(rem // wi)
-        for k in range(-((s + c) // ei), (s - c) // ei + 1):
+        for k in range(0 if spine else -((s + c) // ei), (s - c) // ei + 1):
             x[i] = k
             t = ei * k + c
             if i:
-                yield from level(i - 1, rem - wi * t * t)
+                yield from level(i - 1, rem - wi * t * t, spine and not k)
             elif any(x):
                 yield tuple(x), rem - wi * t * t
         x[i] = 0
 
-    yield from level(n - 1, int(M * bound))
+    yield from level(n - 1, int(M * bound), half)
 
 
 def enumerate_quadratic_leq(
@@ -170,10 +180,13 @@ def short_vectors(
 ) -> list[LatticeVector]:
     """All nonzero v with v^2 == target_norm, sorted lexicographically.
 
-    The lattice must be definite and the target sign must match its sign
-    (an even lattice never represents odd numbers, so those give []).
-    The result contains v iff it contains -v.
+    The lattice must be definite, the target an integer and its sign that
+    of the lattice (an even lattice never represents odd numbers, so those
+    give [] without enumerating).  The result contains v iff it contains
+    -v: the walk visits one of each pair and keeps both.
     """
+    if Fraction(target_norm).denominator != 1:
+        raise InputError(f"target norm must be an integer, got {target_norm}")
     if lattice.rank == 0:
         return []
     sign, q = _definite_decompose(lattice)
@@ -185,8 +198,12 @@ def short_vectors(
             f"{'positive' if sign > 0 else 'negative'}-definite lattice"
         )
     budget = CellBudget(max_cells)
-    hits = sorted(
-        x for x, slack in _fp_points(q, Fraction(abs(target_norm)), budget) if slack == 0
-    )
+    if target_norm % 2:
+        return []
+    hits = []
+    for x, slack in _fp_points(q, Fraction(abs(target_norm)), budget, half=True):
+        if slack == 0:
+            hits += (x, tuple(-c for c in x))
+    hits.sort()
     return [LatticeVector(lattice, c) for c in hits]
 

@@ -565,19 +565,17 @@ def eichler_transvection(lattice: IntegerLattice, e, a) -> tuple[tuple[int, ...]
         raise InputError("transvection base class must be isotropic")
     if e.inner(a) != 0:
         raise InputError("transvection requires (e, a) = 0")
+    # column j is the image of basis vector x_j, where (a, x_j) = (G a)_j
+    # and (e, x_j) = (G e)_j, so entry (i, j) is
+    # delta_ij + (G e)_j a_i - ((G a)_j + (a, a)/2 (G e)_j) e_i
     half = a.norm() // 2
-    nrank = lattice.rank
-    cols = []
-    for j in range(nrank):
-        x = lattice.basis_vector(j)
-        ax = a.inner(x)
-        ex = e.inner(x)
-        img = [
-            x.coords[i] - ax * e.coords[i] + ex * a.coords[i] - half * ex * e.coords[i]
-            for i in range(nrank)
-        ]
-        cols.append(tuple(img))
-    matrix = la.transpose(cols)
+    ge = la.mat_vec(lattice.gram, e.coords)
+    f = [x + half * y for x, y in zip(la.mat_vec(lattice.gram, a.coords), ge)]
+    n = lattice.rank
+    matrix = tuple(
+        tuple((i == j) + ge[j] * a.coords[i] - f[j] * e.coords[i] for j in range(n))
+        for i in range(n)
+    )
     check = la.mat_mul(la.mat_mul(la.transpose(matrix), lattice.gram), matrix)
     if check != lattice.gram:
         raise InternalError("transvection is not an isometry")

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from wallkit import _linalg as la
+from wallkit import shortvec
 from wallkit import (
     CellBudget,
     EnumerationBudgetExceeded,
@@ -128,6 +129,19 @@ class TestContracts:
         lat = IntegerLattice(((-2,),))
         assert short_vectors(lat, 0) == []
 
+    def test_odd_target_empty_without_enumerating(self):
+        e8 = standard_lattice("E8(-1)")
+        assert short_vectors(e8, -7, max_cells=1) == []
+        with pytest.raises(InputError, match="max_cells must be a positive integer"):
+            short_vectors(e8, -7, max_cells=0)
+        with pytest.raises(InputError, match="wrong sign"):
+            short_vectors(e8, 7)
+
+    @pytest.mark.parametrize("target", [Fraction(-5, 2), -2.5])
+    def test_fractional_target_rejected(self, target):
+        with pytest.raises(InputError, match="must be an integer"):
+            short_vectors(standard_lattice("E8(-1)"), target)
+
     def test_generator_budget_object(self):
         # enumerate_quadratic_leq works on the positive-definite side
         gram = ((2, -1), (-1, 2))
@@ -190,6 +204,21 @@ class TestRandomRationalForms:
         }
         assert {tuple(x) for x in got} == box
         assert {x for x in box if q(x) == top} == {tuple(x) for x in on_bound}
+
+    @pytest.mark.parametrize(
+        "case", ENUMERATE_RANDOM[::3], ids=[f"f{i}" for i in range(0, len(ENUMERATE_RANDOM), 3)]
+    )
+    def test_half_walk_is_one_of_each_sign(self, case):
+        q = shortvec._fp_decompose([[Fraction(v) for v in row] for row in case["gram"]])
+        bound = Fraction(case["bound"])
+        full, half = CellBudget(max_cells=10**7), CellBudget(max_cells=10**7)
+        everything = dict(shortvec._fp_points(q, bound, full))
+        kept = dict(shortvec._fp_points(q, bound, half, half=True))
+        assert half.used == full.used == case["used"]
+        assert all(next(c for c in reversed(x) if c) > 0 for x in kept)
+        negated = {tuple(-c for c in x): slack for x, slack in kept.items()}
+        assert kept | negated == everything
+        assert len(kept) == len(negated) == len(everything) // 2
 
     def test_bound_values_are_emitted(self):
         # odd cases take the value of a nonzero integer point as the bound
