@@ -103,7 +103,7 @@ class LatticeVector:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        c = tuple(map(int, self.coords))
+        c = _int_coords(self.coords)
         if len(c) != self.lattice.rank:
             raise InputError("coordinate length does not match lattice rank")
         object.__setattr__(self, "coords", c)
@@ -141,13 +141,41 @@ class LatticeVector:
         return self + (-other)
 
 
+def _int_coords(v) -> tuple[int, ...]:
+    """v as a tuple of ints; InputError when a coordinate is not integral."""
+    v = tuple(v)
+    c = tuple(map(int, v))
+    if c != v:
+        raise InputError(f"coordinates must be integers, got {v}")
+    return c
+
+
+def _trusted_vectors(
+    lattice: IntegerLattice, coords: Iterable[tuple[int, ...]]
+) -> list[LatticeVector]:
+    """LatticeVectors of int tuples known to have the lattice's rank.
+
+    Skips `__post_init__`'s conversion and checks: the caller vouches for
+    the tuples (`short_vectors` passes the walk's own).
+    """
+    new = object.__new__
+    set_lattice, set_coords = LatticeVector.lattice.__set__, LatticeVector.coords.__set__
+    out = []
+    for c in coords:
+        v = new(LatticeVector)
+        set_lattice(v, lattice)
+        set_coords(v, c)
+        out.append(v)
+    return out
+
+
 def _coords_in(lattice: IntegerLattice, v) -> tuple[int, ...]:
     """Integer coordinates of v, checked to belong to `lattice`."""
     if isinstance(v, LatticeVector):
         if v.lattice != lattice:
             raise InputError("vector belongs to a different lattice")
         return v.coords
-    coords = tuple(int(x) for x in v)
+    coords = _int_coords(v)
     if len(coords) != lattice.rank:
         raise InputError("vector length does not match lattice rank")
     return coords

@@ -2,15 +2,17 @@
 
 Fincke-Pohst in integers.  A Fraction-valued Cholesky-style decomposition
 checks definiteness; its rows are then brought to one common denominator,
-so the recursion adds, multiplies and compares integers only and knows
-each point's exact slack (the bound minus its value, times that
-denominator).  `short_vectors` walks one of each pair x, -x (a
-sign-symmetric walk that charges the same cells as the full one) and
-keeps the points of slack 0 with their negatives instead of recomputing
-norms.  Every bound is tested in exact arithmetic, so the
-enumeration is provably complete (no floating-point fudge factors).  All
-routines honor a cell budget so oversized requests fail fast instead of
-hanging.
+so the walk adds, multiplies and compares integers only and knows each
+point's exact slack (the bound minus its value, times that denominator).
+The walk is one lazy generator loop over explicit per-level state, not a
+chain of nested generators.  `short_vectors` walks one of each pair x, -x
+(a sign-symmetric walk that charges the same cells as the full one),
+solves the last coordinate of each point of the shell exactly instead of
+scanning its bracket, and returns the walk's own tuples with their
+negatives, wrapped without re-checking.  Every bound is tested in exact
+arithmetic, so the enumeration is provably complete (no floating-point
+fudge factors).  All routines honor a cell budget so oversized requests
+fail fast instead of hanging.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
+from operator import neg
 from typing import Iterator, Sequence
 
 from .errors import EnumerationBudgetExceeded, InputError
-from .lattice import IntegerLattice, LatticeVector
+from .lattice import IntegerLattice, LatticeVector, _trusted_vectors
 
 __all__ = [
     "short_vectors",
@@ -89,7 +92,7 @@ def _fp_points(
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Yield (x, M * (bound - Q(x))) for every nonzero x with Q(x) <= bound.
 
-    `q` is the `_fp_decompose` of Q and bound >= 0.  The recursion runs on
+    `q` is the `_fp_decompose` of Q and bound >= 0.  The walk runs on
     integers.  Let e_i be the denominator of row i of q and M the least
     common denominator of the bound and of every q_ii / e_i^2.  Level i has
     weight w_i = M q_ii / e_i^2, centre numerator C = sum_j e_i q_ij x_j
@@ -98,41 +101,82 @@ def _fp_points(
     ascending order.  On entry it charges the budget one cell per k of the
     classical bracket [floor(-c) - m, ceil(-c) + m] around the centre
     -c = -C / e_i, with m = isqrt(floor(R / (M q_ii))), which contains them.
+    The levels run in one loop over explicit per-level state (remainder,
+    centre, last k, spine flag), depth first from level n - 1 down, so the
+    generator stays lazy without a frame per level.
 
-    With `half`, only one of each pair x, -x is yielded: the one whose last
-    nonzero coordinate is positive.  On the spine, where every coordinate
-    above the level is 0, the centre is 0 and the bracket symmetric, so the
-    level tries k >= 0 only; a level entered off the spine is charged twice,
-    for itself and for its mirror under x -> -x, whose bracket has the same
-    size.  The cells charged are then those of the full walk.
+    With `half`, only the points with Q(x) == bound are yielded, one of
+    each pair x, -x: the one whose last nonzero coordinate is positive.  On
+    the spine, where every coordinate above the level is 0, the centre is 0
+    and the bracket symmetric, so the level tries k >= 0 only; a level
+    entered off the spine is charged twice, for itself and for its mirror
+    under x -> -x, whose bracket has the same size.  The cells charged are
+    then those of the full walk.  Level 0 is solved, not scanned: w_0 t^2 = R
+    needs R / w_0 to be a square s^2, and t = +-s gives x_0 = (t - C) / e_0
+    when e_0 divides t - C (t = s only on the spine).
     """
     n = len(q)
     e = [math.lcm(*(q[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
     M = math.lcm(bound.denominator, *((q[i][i] / (e[i] * e[i])).denominator for i in range(n)))
     w = [int(M * q[i][i] / (e[i] * e[i])) for i in range(n)]
-    a = [[int(e[i] * q[i][j]) if j > i else 0 for j in range(n)] for i in range(n)]
+    # the nonzero (j, e_i q_ij) of row i, and w_i e_i^2 = M q_ii
+    terms = [[(j, int(e[i] * q[i][j])) for j in range(i + 1, n) if q[i][j]] for i in range(n)]
+    box = [w[i] * e[i] * e[i] for i in range(n)]
+    spend, isqrt = budget.spend, math.isqrt
     x = [0] * n
-
-    def level(i: int, rem: int, spine: bool) -> Iterator[tuple[tuple[int, ...], int]]:
-        ei, wi, ai = e[i], w[i], a[i]
+    rems, cens, tops, spines = [0] * n, [0] * n, [0] * n, [False] * n
+    i, rem, spine = n - 1, int(M * bound), True
+    while True:
+        ei, wi = e[i], w[i]
         c = 0
-        for j in range(i + 1, n):
-            if x[j]:
-                c += ai[j] * x[j]
-        m = math.isqrt(rem // (wi * ei * ei))
-        cells = -(c // ei) - (-c // ei) + 2 * m + 1
-        budget.spend(cells if spine or not half else 2 * cells)
-        s = math.isqrt(rem // wi)
-        for k in range(0 if spine else -((s + c) // ei), (s - c) // ei + 1):
-            x[i] = k
-            t = ei * k + c
-            if i:
-                yield from level(i - 1, rem - wi * t * t, spine and not k)
-            elif any(x):
-                yield tuple(x), rem - wi * t * t
-        x[i] = 0
-
-    yield from level(n - 1, int(M * bound), half)
+        if not spine:
+            for j, aij in terms[i]:
+                c += aij * x[j]
+        cells = 2 * isqrt(rem // box[i]) + 1 + (c % ei != 0)
+        spend(2 * cells if half and not spine else cells)
+        s = isqrt(rem // wi)
+        if i:
+            lo = 0 if half and spine else -((s + c) // ei)
+            hi = (s - c) // ei
+            if lo <= hi:
+                rems[i], cens[i], tops[i], spines[i] = rem, c, hi, spine
+                x[i] = lo
+                t = ei * lo + c
+                rem -= wi * t * t
+                spine = spine and not lo
+                i -= 1
+                continue
+        elif half:
+            if wi * s * s == rem:
+                # the roots t of w_0 t^2 = R, ascending in k
+                for t in (s,) if spine else (-s, s) if s else (0,):
+                    k, r = divmod(t - c, ei)
+                    if not r and (k or not spine):
+                        x[0] = k
+                        yield tuple(x), 0
+                x[0] = 0
+        else:
+            for k in range(-((s + c) // ei), (s - c) // ei + 1):
+                if k or not spine:
+                    x[0] = k
+                    t = ei * k + c
+                    yield tuple(x), rem - wi * t * t
+            x[0] = 0
+        # back up to the lowest level that has a k left to try
+        i += 1
+        while i < n:
+            k = x[i] + 1
+            if k <= tops[i]:
+                x[i] = k
+                t = e[i] * k + cens[i]
+                rem = rems[i] - w[i] * t * t
+                spine = spines[i] and not k
+                i -= 1
+                break
+            x[i] = 0
+            i += 1
+        else:
+            return
 
 
 def enumerate_quadratic_leq(
@@ -200,10 +244,10 @@ def short_vectors(
     budget = CellBudget(max_cells)
     if target_norm % 2:
         return []
-    hits = []
-    for x, slack in _fp_points(q, Fraction(abs(target_norm)), budget, half=True):
-        if slack == 0:
-            hits += (x, tuple(-c for c in x))
+    hits = [x for x, _ in _fp_points(q, Fraction(abs(target_norm)), budget, half=True)]
     hits.sort()
-    return [LatticeVector(lattice, c) for c in hits]
+    # negation reverses the order: two sorted runs for sort() to merge
+    hits += [tuple(map(neg, x)) for x in reversed(hits)]
+    hits.sort()
+    return _trusted_vectors(lattice, hits)
 

@@ -12,6 +12,7 @@ from wallkit import (
     InputError,
     IntegerLattice,
     InternalError,
+    LatticeVector,
     direct_sum,
     disc_class,
     discriminant_group,
@@ -78,6 +79,18 @@ class TestVectors:
         assert U.vector((2, 4)).content() == 2
         assert not U.vector((2, 4)).is_primitive()
         assert U.vector((2, 3)).is_primitive()
+
+    @pytest.mark.parametrize("coord", [Fraction(3, 2), Fraction(-1, 3), 2.7, -0.5])
+    def test_non_integral_coordinate_rejected(self, coord):
+        with pytest.raises(InputError, match="coordinates must be integers"):
+            LatticeVector(U, (1, coord))
+        with pytest.raises(InputError, match="coordinates must be integers"):
+            U.vector((1, coord))
+
+    def test_integral_values_accepted(self):
+        for v in (LatticeVector(U, [Fraction(4), 2.0]), U.vector((Fraction(4), 2.0))):
+            assert v.coords == (4, 2)
+            assert all(type(c) is int for c in v.coords)
 
     def test_divisibility_examples(self):
         L = standard_lattice("Ln", 3)
@@ -209,6 +222,14 @@ class TestEmbedding:
         emb = make_context(3).embed
         with pytest.raises(InputError, match="vector length does not match lattice rank"):
             emb.apply(coords)
+
+    @pytest.mark.parametrize("coord", [Fraction(3, 2), 2.7])
+    def test_apply_rejects_non_integral_coordinate(self, coord):
+        emb = make_context(3).embed
+        rest = (0,) * (emb.source.rank - 1)
+        with pytest.raises(InputError, match="coordinates must be integers"):
+            emb.apply((coord,) + rest)
+        assert emb.apply((Fraction(2),) + rest) == emb.apply((2,) + rest)
 
     def test_apply_rejects_vector_of_another_lattice(self):
         ctx = make_context(3)

@@ -142,6 +142,18 @@ class TestContracts:
         with pytest.raises(InputError, match="must be an integer"):
             short_vectors(standard_lattice("E8(-1)"), target)
 
+    def test_enumeration_is_lazy(self):
+        # the first point of a large ball costs a few cells: the walk is not
+        # run to the end (or collected into a list) before it yields
+        gram = tuple(tuple(-g for g in row) for row in standard_lattice("E8(-1)").gram)
+        budget = CellBudget(max_cells=10**6)
+        points = enumerate_quadratic_leq(gram, 8, budget)
+        next(points)
+        first = budget.used
+        assert 1 + sum(1 for _ in points) == 26640
+        assert budget.used == 55420
+        assert first * 1000 < budget.used
+
     def test_generator_budget_object(self):
         # enumerate_quadratic_leq works on the positive-definite side
         gram = ((2, -1), (-1, 2))
@@ -206,19 +218,23 @@ class TestRandomRationalForms:
         assert {x for x in box if q(x) == top} == {tuple(x) for x in on_bound}
 
     @pytest.mark.parametrize(
-        "case", ENUMERATE_RANDOM[::3], ids=[f"f{i}" for i in range(0, len(ENUMERATE_RANDOM), 3)]
+        "case", ENUMERATE_RANDOM, ids=[f"f{i}" for i in range(len(ENUMERATE_RANDOM))]
     )
     def test_half_walk_is_one_of_each_sign(self, case):
+        # the half walk solves the last level exactly: it yields the full
+        # walk's slack-0 points with a positive last nonzero coordinate, in
+        # the full walk's order, and charges the full walk's cells
         q = shortvec._fp_decompose([[Fraction(v) for v in row] for row in case["gram"]])
         bound = Fraction(case["bound"])
         full, half = CellBudget(max_cells=10**7), CellBudget(max_cells=10**7)
-        everything = dict(shortvec._fp_points(q, bound, full))
-        kept = dict(shortvec._fp_points(q, bound, half, half=True))
+        on_bound = [x for x, slack in shortvec._fp_points(q, bound, full) if slack == 0]
+        kept = list(shortvec._fp_points(q, bound, half, half=True))
         assert half.used == full.used == case["used"]
-        assert all(next(c for c in reversed(x) if c) > 0 for x in kept)
-        negated = {tuple(-c for c in x): slack for x, slack in kept.items()}
-        assert kept | negated == everything
-        assert len(kept) == len(negated) == len(everything) // 2
+        assert all(slack == 0 for _, slack in kept)
+        kept = [x for x, _ in kept]
+        assert kept == [x for x in on_bound if next(c for c in reversed(x) if c) > 0]
+        assert set(kept) | {tuple(-c for c in x) for x in kept} == set(on_bound)
+        assert 2 * len(kept) == len(on_bound)
 
     def test_bound_values_are_emitted(self):
         # odd cases take the value of a nonzero integer point as the bound
@@ -277,3 +293,15 @@ class TestRecordedShortVectors:
         lattice = IntegerLattice(tuple(map(tuple, case["gram"])))
         for shell in case["shells"]:
             assert assert_cells(lattice, shell["target"], shell["cells"]) == shell["vectors"]
+
+
+class TestRankOne:
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("g", [2, 4, 6, 10, 18])
+    def test_shells(self, g, sign):
+        # at rank 1 level 0 is also the top of the spine: v^2 = g k^2
+        lattice = IntegerLattice(((sign * g,),))
+        for norm in range(2, 18 * g + 1, 2):
+            k = math.isqrt(norm // g)
+            want = [[-k], [k]] if g * k * k == norm else []
+            assert assert_cells(lattice, sign * norm, 2 * k + 1) == want
