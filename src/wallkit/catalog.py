@@ -19,7 +19,7 @@ from importlib import resources
 from . import chambers as cg
 from . import walls as wl
 from .errors import InputError, OnWallError
-from .formats import embedding_from_json, frac_str, lattice_from_json, parse_frac
+from .formats import frac_str, parse_chamber_query, parse_frac
 from .lattice import divisibility
 from .walls import make_context
 
@@ -130,15 +130,6 @@ def _random_transvection_image(lattice, coords, rng) -> tuple[int, ...]:
     )
 
 
-def _picard_setup(case: dict):
-    """Build (ctx, PicardData) from a fixture chamber case."""
-    ctx = make_context(case["n"])
-    pic = lattice_from_json({"label": case.get("label", "pic"), "gram": case["pic_gram"]})
-    emb = embedding_from_json(pic, ctx.ambient, case["embed"])
-    omega = tuple(Fraction(parse_frac(c)) for c in case["omega"])
-    return ctx, cg.PicardData(ctx=ctx, pic=pic, embed=emb, omega_ref=omega)
-
-
 def _wall_key(w: cg.Wall):
     return (tuple(w.D.coords), w.wall_type.square, w.wall_type.div)
 
@@ -199,7 +190,8 @@ def _check_minus_two_curve(fx: dict, rec: _Recorder, seed: int) -> None:
 
 def _chamber_case(case: dict, rec: _Recorder, tag: str, certified: bool):
     """Check one frozen chamber; return its Picard data and support report."""
-    ctx, P = _picard_setup(case)
+    P = parse_chamber_query(case)["P"]
+    ctx = P.ctx
     types = wl.certified_wall_types(ctx) if certified else wl.enumerate_wall_types(ctx)
     bound = case.get("bound", 12)
     omega = P.omega_ref
@@ -237,7 +229,8 @@ def _chamber_case(case: dict, rec: _Recorder, tag: str, certified: bool):
 
 def _check_p2(fx: dict, rec: _Recorder, seed: int) -> None:
     case = fx["chamber"]
-    ctx, P = _picard_setup(case)
+    P = parse_chamber_query(case)["P"]
+    ctx = P.ctx
     D = tuple(fx["wall_class"])
     rec.add("square", fx["square"], P.pic.norm(D))
     img = P.embed.apply(D)

@@ -26,6 +26,10 @@ All questions are reduced to exact finite enumerations:
   decided exactly, a sup-of-quadratic question solved on it from the rays
   it contains plus stationary points of the faces its neighbours in K
   cut.
+
+Every supporting-wall answer depends on omega only up to positive scale, so
+omega is rational only at the API: the public entry points scale it once to
+its primitive integer vector, and the search below them runs in integers.
 """
 
 from __future__ import annotations
@@ -189,7 +193,7 @@ def _dot(a, x):
 
 def _toward(P: PicardData, x, omega) -> tuple:
     """x or -x, whichever pairs nonnegatively with omega."""
-    return tuple(-c for c in x) if _pair(P, x, omega) < 0 else tuple(x)
+    return tuple(-c for c in x) if P.pic.inner(x, omega) < 0 else tuple(x)
 
 
 def _type_lookup(types) -> dict[int, dict[int, WallType]]:
@@ -224,7 +228,7 @@ def is_positive_class(P: PicardData, x) -> bool:
     if P.omega_ref is None:
         raise ConfigurationError("positivity test needs a reference class")
     xf = _fracs(P, x)
-    return _norm(P, xf) > 0 and _pair(P, xf, P.omega_ref) > 0
+    return _norm(P, xf) > 0 and P.pic.inner(xf, _primitive_int(P.omega_ref)) > 0
 
 
 # ----------------------------------------------------- segment wall crossing
@@ -419,7 +423,7 @@ def _sup_positive_witness(
         return la.vec_mat_vec(x, gram, x if y is None else y)
 
     def side(x):
-        return sum(h * Fraction(v) for h, v in zip(toward, x))
+        return _dot(toward, x)
 
     def neg(x):
         return tuple(-c for c in x)
@@ -473,7 +477,7 @@ def _sup_positive_witness(
             x0 = la.solve_rational(rows, [1, 0] + [0] * size)
             if x0 is None:
                 continue
-            null = la.kernel_basis([_primitive_int(row) for row in rows])
+            null = la.kernel_basis([_primitive(row) for row in rows])
             if null:
                 gn = [[q(ni, nj) for nj in null] for ni in null]
                 mu = la.solve_rational(gn, [-q(ni, x0) for ni in null])
@@ -508,7 +512,7 @@ def _check_on_wall(P: PicardData, omega, lookup, budget: CellBudget):
     the complement's basis is badly skewed for a large omega; the wall named
     is the first by |square|, then by coordinates w = U^T y in the latter.
     """
-    comp = orthogonal_complement(P.pic, [_primitive_int(omega)])
+    comp = orthogonal_complement(P.pic, [omega])
     u, red = la.lll_reduce(tuple(tuple(-g for g in row) for row in comp.source.gram))
     ut = la.transpose(u)
     # type squares are negative: red(y) is |s|
@@ -547,18 +551,18 @@ def _box_candidates(P: PicardData, omega, lookup, bound, budget):
     Each square is solved for the last coordinate given the others."""
     n = P.pic.rank
     gram = P.pic.gram
-    side = _primitive_int(la.mat_vec(gram, omega))  # (x, omega) > 0 iff side . x > 0
+    side = la.mat_vec(gram, omega)  # (x, omega) = side . x
     budget.spend((2 * bound + 1) ** n)
     out = {}
     for head in itertools.product(range(-bound, bound + 1), repeat=n - 1):
         gh = [_dot(row, head) for row in gram]  # gram rows against (head, 0)
         b, q = gh[-1], _dot(head, gh)
-        roots = {t for s in lookup for t in _last_coordinates(gram[-1][-1], b, q - s, bound)}
+        roots = {t: s for s in lookup for t in _last_coordinates(gram[-1][-1], b, q - s, bound)}
         for t in sorted(roots):
             x = (*head, t)
             if not any(x) or gcd(*x) != 1:
                 continue
-            wt = _match_type(P, x, lookup)
+            wt = lookup[roots[t]].get(P.div_of(x))
             if wt is None:
                 continue
             if _dot(side, x) < 0:
@@ -578,13 +582,10 @@ def _split_isotropic(P: PicardData, omega):
     if r * r != disc:
         return None
     if a == 0:
-        dirs = [(1, 0), _primitive_int((-Fraction(c), Fraction(2 * b)))]
+        dirs = [(1, 0), _primitive((-c, 2 * b))]
     else:
-        dirs = [
-            _primitive_int((Fraction(-b + r), Fraction(a))),
-            _primitive_int((Fraction(-b - r), Fraction(a))),
-        ]
-    if any(_pair(P, u, omega) == 0 for u in dirs):
+        dirs = [_primitive((-b + r, a)), _primitive((-b - r, a))]
+    if any(P.pic.inner(u, omega) == 0 for u in dirs):
         raise InternalError("isotropic class orthogonal to omega")
     up, um = (_toward(P, u, omega) for u in dirs)
     e = P.pic.inner(up, um)
@@ -614,22 +615,20 @@ def _split_candidates(P: PicardData, omega, lookup, split):
     """
     up, um, e = split
     out = {}
-    for s in lookup:
+    for s, by_div in lookup.items():
         num = s * e
         if num % 2:
             continue
         prod = num // 2  # negative
         for d in _divisors(-prod):
             for p, q in ((d, prod // d), (-d, -(prod // d))):
-                coords = tuple(
-                    Fraction(q * a + p * b, e) for a, b in zip(up, um)
-                )
-                if any(c.denominator != 1 for c in coords):
+                coords = [q * a + p * b for a, b in zip(up, um)]
+                if any(c % e for c in coords):
                     continue
-                x = tuple(int(c) for c in coords)
+                x = tuple(c // e for c in coords)
                 if gcd(*x) != 1:
                     continue
-                t = _match_type(P, x, lookup)
+                t = by_div.get(P.div_of(x))
                 if t is None:
                     continue
                 out[_toward(P, x, omega)] = t
@@ -639,13 +638,7 @@ def _split_candidates(P: PicardData, omega, lookup, split):
 def _perp_ray_rank2(P: PicardData, coords, omega):
     """Primitive generator of D-perp in a rank-2 pic, oriented to omega."""
     g = la.mat_vec(P.pic.gram, coords)
-    return _toward(P, _primitive_int((Fraction(-g[1]), Fraction(g[0]))), omega)
-
-
-def _mu(P: PicardData, x0, omega) -> Fraction:
-    num = _pair(P, x0, omega) ** 2
-    den = _norm(P, x0) * _norm(P, omega)
-    return num / den
+    return _toward(P, _primitive((-g[1], g[0])), omega)
 
 
 def _support_rank2(P, omega, lookup, bound, budget):
@@ -660,10 +653,12 @@ def _support_rank2(P, omega, lookup, bound, budget):
     # bracket per side, then close the search exactly: any wall angularly
     # closer than the bracket satisfies q_omega(D) = |D^2| (2 mu - 1) <= cap.
     sides = {1: [], -1: []}
+    omsq = P.pic.norm(omega)
     for x in cands:
         x0 = _perp_ray_rank2(P, x, omega)
         side = x0[0] * omega[1] - x0[1] * omega[0]
-        sides[1 if side > 0 else -1].append(_mu(P, x0, omega))
+        mu = Fraction(P.pic.inner(x0, omega) ** 2, P.pic.norm(x0) * omsq)
+        sides[1 if side > 0 else -1].append(mu)
     mu_cap = max(min(v) for v in sides.values() if v)
     cap = max(abs(s) * (2 * mu_cap - 1) for s in lookup)
     gram = _majorant_gram(P, omega)
@@ -726,11 +721,10 @@ def _facet_walls(P, omega, cands, budget):
     for x in facets:
         t = cands[x]
         others = [y for y in cands if y != x]
-        # fast path: the orthogonal projection of omega often certifies
-        xsq = P.pic.norm(x)
-        proj = _primitive_int(
-            w - _pair(P, omega, x) / xsq * c for w, c in zip(omega, x)
-        )
+        # fast path: the orthogonal projection of omega often certifies;
+        # x^2 < 0, so this is -x^2 times omega - (omega, x) / x^2 x
+        ox, xsq = P.pic.inner(omega, x), P.pic.norm(x)
+        proj = _primitive([ox * c - xsq * w for w, c in zip(omega, x)])
         if all(_dot(gy[y], proj) > 0 for y in others):
             walls.append(Wall(D=P.pic.vector(x), wall_type=t, certificate=proj))
             continue
@@ -778,8 +772,8 @@ def supporting_walls_report(
     Raises OnWallError when omega lies on a wall of a listed type; that
     check, like every phase, spends cells of the one `max_cells` budget.
     """
-    om = _fracs(P, omega)
-    if _norm(P, om) <= 0:
+    om = _primitive_int(_fracs(P, omega))
+    if P.pic.norm(om) <= 0:
         raise InputError("reference class must have positive square")
     types = list(types)
     lookup = _type_lookup(types)
@@ -800,7 +794,7 @@ def supporting_walls_report(
             c is not None
             and P.pic.norm(c) > 0
             and P.pic.inner(c, w.D.coords) == 0
-            and _pair(P, c, om) > 0
+            and P.pic.inner(c, om) > 0
             and all(P.pic.inner(v.D.coords, c) > 0 for v in walls if v is not w)
         ):
             raise InternalError(f"certificate {c} does not certify the wall D={w.D.coords}")
@@ -836,10 +830,10 @@ def in_dual_cone(P: PicardData, walls, x, omega=None) -> bool:
     if om is None:
         raise ConfigurationError("dual-cone test needs a reference class")
     xf = _fracs(P, x)
-    if _pair(P, xf, om) < 0:
+    if P.pic.inner(xf, _primitive_int(om)) < 0:
         return False
     for w in walls:
-        coords = w.D.coords if isinstance(w, Wall) else tuple(int(c) for c in w)
-        if _pair(P, coords, xf) <= 0:
+        coords = w.D.coords if isinstance(w, Wall) else P.pic.vector(w).coords
+        if P.pic.inner(coords, xf) <= 0:
             return False
     return True

@@ -51,7 +51,7 @@ class IntegerLattice:
     blocks: tuple[str, ...] = ()
 
     def __post_init__(self):
-        g = tuple(tuple(int(x) for x in row) for row in self.gram)
+        g = tuple(map(_int_coords, self.gram))
         object.__setattr__(self, "gram", g)
         n = len(g)
         if any(len(row) != n for row in g):
@@ -196,7 +196,7 @@ class Embedding:
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        m = tuple(tuple(int(x) for x in row) for row in self.matrix)
+        m = tuple(map(_int_coords, self.matrix))
         object.__setattr__(self, "matrix", m)
         if len(m) != self.target.rank or any(
             len(row) != self.source.rank for row in m

@@ -173,6 +173,39 @@ class TestGoldenChambers:
 # ---------------------------------------------------------- recorded rank 2
 
 
+OMEGA_SCALES = {"3w": 3, "1.4w": Fraction(7, 5)}
+
+
+def with_scaled_omega(cases, prefix, sample):
+    """Each recorded case as it is, then a seeded sample again with omega
+    scaled by 3 and by 7/5: every answer depends on omega only up to
+    positive scale."""
+    params = [pytest.param(c, 1, id=f"{prefix}{i}") for i, c in enumerate(cases)]
+    for i in sorted(random.Random(prefix).sample(range(len(cases)), sample)):
+        params += [
+            pytest.param(cases[i], k, id=f"{prefix}{i}-{name}")
+            for name, k in OMEGA_SCALES.items()
+        ]
+    return params
+
+
+def scaled_query(case, scale):
+    """(query, P, omega) of a recorded case, with omega and the reference
+    class of P scaled by `scale`; query["P"] keeps the recorded one."""
+    query = parse_chamber_query(case["query"])
+    omega = tuple(scale * c for c in query["omega"])
+    return query, replace(query["P"], omega_ref=omega), omega
+
+
+def positivity_answers(P, walls, omega):
+    """is_positive_class and in_dual_cone against P's reference class, on
+    +-omega, the basis vectors and their negatives, and the certificates."""
+    n = P.pic.rank
+    probes = [tuple(s * int(i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
+    probes += [omega, tuple(-c for c in omega), *(w.certificate for w in walls)]
+    return [(is_positive_class(P, x), in_dual_cone(P, walls, x)) for x in probes]
+
+
 SUPPORT_RANK2 = json.loads(
     (GOLDEN_DIR / "support_rank2.json").read_text(encoding="utf-8")
 )["cases"]
@@ -180,12 +213,9 @@ RANK2_TYPES = {"enumerate": enumerate_wall_types, "certified": certified_wall_ty
 
 
 class TestRank2Recorded:
-    @pytest.mark.parametrize(
-        "case", SUPPORT_RANK2, ids=[f"r{i}" for i in range(len(SUPPORT_RANK2))]
-    )
-    def test_matches_recorded(self, case):
-        query = parse_chamber_query(case["query"])
-        P, omega = query["P"], query["omega"]
+    @pytest.mark.parametrize("case,scale", with_scaled_omega(SUPPORT_RANK2, "r", 40))
+    def test_matches_recorded(self, case, scale):
+        query, P, omega = scaled_query(case, scale)
         types = RANK2_TYPES[case["types"]](P.ctx)
         if "on_wall" in case:
             with pytest.raises(OnWallError) as ei:
@@ -201,6 +231,9 @@ class TestRank2Recorded:
         ]
         assert got == case["walls"]
         assert (rep.exact, rep.search_bound) == (case["exact"], case["search_bound"])
+        assert positivity_answers(P, rep.walls, query["omega"]) == positivity_answers(
+            query["P"], rep.walls, query["omega"]
+        )
 
 
 # --------------------------------------------------------------- rank 1 and 5
@@ -367,6 +400,13 @@ class TestDualCone:
     def test_wrong_side_of_reference_fails(self):
         P = p2_data()
         assert not in_dual_cone(P, [], (-2, 1))
+
+    @pytest.mark.parametrize("wall", [(Fraction(3, 2), Fraction(1, 2)), (2.7, 0)])
+    def test_non_integral_raw_wall_rejected(self, wall):
+        # truncated to (1, 0), the wall would let (2, -1) pass
+        P = p2_data()
+        with pytest.raises(InputError, match="coordinates must be integers"):
+            in_dual_cone(P, [wall], (2, -1))
 
 
 class TestPositiveClass:
@@ -994,12 +1034,9 @@ class TestFacetSearch:
         supporting_walls_report(P, omega, enumerate_wall_types(P.ctx), search_bound=bound)
         assert calls == sizes
 
-    @pytest.mark.parametrize(
-        "case", SUPPORT_RANDOM, ids=[f"q{i}" for i in range(len(SUPPORT_RANDOM))]
-    )
-    def test_random_queries_match_recorded(self, case):
-        query = parse_chamber_query(case["query"])
-        P, omega = query["P"], query["omega"]
+    @pytest.mark.parametrize("case,scale", with_scaled_omega(SUPPORT_RANDOM, "q", 20))
+    def test_random_queries_match_recorded(self, case, scale):
+        query, P, omega = scaled_query(case, scale)
         rep = supporting_walls_report(
             P, omega, certified_wall_types(P.ctx), search_bound=query["bound"]
         )
@@ -1012,6 +1049,9 @@ class TestFacetSearch:
         for D, _, _, cert in recorded:
             if D in case["spurious"]:
                 assert P.pic.inner(cert, omega) < 0
+        assert positivity_answers(P, rep.walls, query["omega"]) == positivity_answers(
+            query["P"], rep.walls, query["omega"]
+        )
 
     def test_broken_certificate_is_internal_error(self, monkeypatch):
         monkeypatch.setattr(

@@ -68,6 +68,17 @@ class TestStandardLattices:
         with pytest.raises(InputError):
             IntegerLattice(((0, 1), (2, 0)))
 
+    @pytest.mark.parametrize("entry", [Fraction(5, 2), 2.9])
+    def test_non_integral_gram_rejected(self, entry):
+        # truncating would build the even lattice <2> that was not asked for
+        with pytest.raises(InputError, match="coordinates must be integers"):
+            IntegerLattice(((entry,),))
+
+    def test_integral_gram_values_accepted(self):
+        gram = IntegerLattice(((Fraction(4), 1.0), (1, -2))).gram
+        assert gram == ((4, 1), (1, -2))
+        assert all(type(c) is int for row in gram for c in row)
+
 
 class TestVectors:
     def test_norm_inner(self):
@@ -216,6 +227,14 @@ class TestEmbedding:
         bad_src = standard_lattice("rank1", -2)
         with pytest.raises(InputError):
             Embedding(bad_src, L3, rows)
+
+    @pytest.mark.parametrize("entry", [Fraction(3, 2), 1.5])
+    def test_non_integral_matrix_rejected(self, entry):
+        # truncating would accept the isometry <2> -> U given by ((1,), (1,))
+        with pytest.raises(InputError, match="coordinates must be integers"):
+            Embedding(standard_lattice("rank1", 2), U, ((1,), (entry,)))
+        emb = Embedding(standard_lattice("rank1", 2), U, ((1,), (Fraction(1),)))
+        assert emb.matrix == ((1,), (1,))
 
     @pytest.mark.parametrize("coords", [(1,), (1,) * 22, (1,) * 30])
     def test_apply_rejects_wrong_length(self, coords):
