@@ -649,6 +649,17 @@ def pair29_data():
 WALLS_BETWEEN_RANDOM = json.loads(
     (GOLDEN_DIR / "walls_between_random.json").read_text(encoding="utf-8")
 )["cases"]
+WALLS_BETWEEN_CELLS = json.loads(
+    (GOLDEN_DIR / "walls_between_cells.json").read_text(encoding="utf-8")
+)["cases"]
+
+
+def recorded_pair(case):
+    """PicardData and wall types of a walls_between_random.json case."""
+    cols = [{int(k): v for k, v in col.items()} for col in case["embed_cols"]]
+    P = picard(case["n"], case["pic_gram"], cols)
+    cap = case["max_abs_square"]
+    return P, [t for t in enumerate_wall_types(P.ctx) if cap is None or -t.square <= cap]
 
 
 class TestWallsBetween:
@@ -745,14 +756,24 @@ class TestWallsBetween:
         ids=[f"{c['name']}-{i}" for i, c in enumerate(WALLS_BETWEEN_RANDOM)],
     )
     def test_matches_recorded(self, case):
-        cols = [{int(k): v for k, v in col.items()} for col in case["embed_cols"]]
-        P = picard(case["n"], case["pic_gram"], cols)
-        cap = case["max_abs_square"]
-        types = [
-            t for t in enumerate_wall_types(P.ctx) if cap is None or -t.square <= cap
-        ]
+        P, types = recorded_pair(case)
         found = walls_between(P, case["alpha"], case["beta"], types)
         assert [[list(w.D.coords), *wall_key(w)[1:]] for w in found] == case["walls"]
+
+    @pytest.mark.parametrize(
+        "case, recorded",
+        list(zip(WALLS_BETWEEN_RANDOM, WALLS_BETWEEN_CELLS)),
+        ids=[f"{c['name']}-{i}" for i, c in enumerate(WALLS_BETWEEN_RANDOM)],
+    )
+    def test_recorded_cells(self, case, recorded):
+        # the recorded cap is exactly what the search spends
+        assert (recorded["alpha"], recorded["beta"]) == (case["alpha"], case["beta"])
+        P, types = recorded_pair(case)
+        cells = recorded["cells"]
+        found = walls_between(P, case["alpha"], case["beta"], types, max_cells=cells)
+        assert [[list(w.D.coords), *wall_key(w)[1:]] for w in found] == case["walls"]
+        with pytest.raises(EnumerationBudgetExceeded):
+            walls_between(P, case["alpha"], case["beta"], types, max_cells=cells - 1)
 
     def test_budget_fits_volume_splits(self):
         # the volume rule spends 19,134 cells here; halving whenever the
