@@ -223,6 +223,18 @@ def _majorant_gram(P: PicardData, a: tuple[Fraction, ...]):
     )
 
 
+def _ball(gram, bound, budget: CellBudget):
+    """enumerate_quadratic_leq on a form that is definite by construction.
+
+    A failed definiteness check there is a broken invariant of the search,
+    not bad input, so it surfaces as InternalError.
+    """
+    try:
+        yield from enumerate_quadratic_leq(gram, bound, budget)
+    except InputError as exc:
+        raise InternalError(f"search form: {exc}") from exc
+
+
 def is_positive_class(P: PicardData, x) -> bool:
     """x^2 > 0 and x on the same side as the reference class."""
     if P.omega_ref is None:
@@ -322,7 +334,7 @@ def _segment_candidates(P, a, b, blowup, max_abs_square, lookup, budget, pool, d
             _segment_candidates(P, mid, b, right, max_abs_square, lookup, budget, pool, depth + 1)
             return
     gram = _majorant_gram(P, a)
-    for x in enumerate_quadratic_leq(gram, max_abs_square * blowup, budget):
+    for x in _ball(gram, max_abs_square * blowup, budget):
         for c in x:
             if c:
                 if c < 0:
@@ -330,9 +342,12 @@ def _segment_candidates(P, a, b, blowup, max_abs_square, lookup, budget, pool, d
                 break
         if x in pool or gcd(*x) != 1:
             continue
-        if _pair(P, x, a) * _pair(P, x, b) > 0:
+        # the integer square first: most points have no wall type's square,
+        # and the two Fraction pairings cost far more
+        by_div = lookup.get(P.pic.norm(x))
+        if not by_div or _pair(P, x, a) * _pair(P, x, b) > 0:
             continue
-        t = _match_type(P, x, lookup)
+        t = by_div.get(P.div_of(x))
         if t is None:
             continue
         qa = la.vec_mat_vec(x, gram, x)
@@ -518,7 +533,7 @@ def _check_on_wall(P: PicardData, omega, lookup, budget: CellBudget):
     # type squares are negative: red(y) is |s|
     hits = sorted(
         (minus_s, la.mat_vec(ut, y))
-        for y in enumerate_quadratic_leq(red, max(map(abs, lookup)), budget)
+        for y in _ball(red, max(map(abs, lookup)), budget)
         if -(minus_s := la.vec_mat_vec(y, red, y)) in lookup
     )
     for minus_s, w in hits:
@@ -662,7 +677,7 @@ def _support_rank2(P, omega, lookup, bound, budget):
     mu_cap = max(min(v) for v in sides.values() if v)
     cap = max(abs(s) * (2 * mu_cap - 1) for s in lookup)
     gram = _majorant_gram(P, omega)
-    for x in enumerate_quadratic_leq(gram, cap, budget):
+    for x in _ball(gram, cap, budget):
         if gcd(*x) != 1 or x in cands:
             continue
         t = _match_type(P, x, lookup)

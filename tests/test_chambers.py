@@ -775,6 +775,12 @@ class TestWallsBetween:
         with pytest.raises(EnumerationBudgetExceeded):
             walls_between(P, case["alpha"], case["beta"], types, max_cells=cells - 1)
 
+    def test_indefinite_majorant_is_internal_error(self, monkeypatch):
+        negate_search_form(monkeypatch, "_majorant_gram")
+        P = p2_data()
+        with pytest.raises(InternalError, match="not positive definite"):
+            walls_between(P, (2, -1), (2, 1), enumerate_wall_types(P.ctx))
+
     def test_budget_fits_volume_splits(self):
         # the volume rule spends 19,134 cells here; halving whenever the
         # blowup exceeded 16 spent 132,016
@@ -820,6 +826,18 @@ class TestWallsBetween:
                 walls += len(default)
             assert walls > 0
         assert any(splits) and not all(splits)
+
+
+def negate_search_form(monkeypatch, name):
+    """Negate the Gram that chambers.<name> builds, so a form that is
+    definite by construction no longer is: a broken internal invariant."""
+    build = getattr(chambers, name)
+
+    def negated(*args):
+        gram = build(*args)
+        return tuple(tuple(-g for g in row) for row in gram)
+
+    monkeypatch.setattr(chambers, name, negated)
 
 
 def integer_root(n, k):
@@ -1081,6 +1099,27 @@ class TestFacetSearch:
         P = rank3_data()
         with pytest.raises(InternalError):
             supporting_walls_report(P, (5, 3, 1), enumerate_wall_types(P.ctx))
+
+    def test_indefinite_rank2_majorant_is_internal_error(self, monkeypatch):
+        # <4> + <-8> splits no hyperbolic plane, so the bracket is closed by
+        # a majorant enumeration
+        negate_search_form(monkeypatch, "_majorant_gram")
+        P = bm2_n5_data()
+        with pytest.raises(InternalError, match="not positive definite"):
+            supporting_walls_report(P, P.omega_ref, enumerate_wall_types(P.ctx))
+
+    def test_indefinite_omega_perp_is_internal_error(self, monkeypatch):
+        # the on-wall check enumerates omega-perp in an LLL-reduced basis
+        reduce = la.lll_reduce
+
+        def negated(gram):
+            u, red = reduce(gram)
+            return u, tuple(tuple(-g for g in row) for row in red)
+
+        monkeypatch.setattr(la, "lll_reduce", negated)
+        P = rank3_data()
+        with pytest.raises(InternalError, match="not positive definite"):
+            supporting_walls_report(P, P.omega_ref, enumerate_wall_types(P.ctx))
 
     def test_broken_rank2_certificate_is_internal_error(self, monkeypatch):
         monkeypatch.setattr(

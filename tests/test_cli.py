@@ -19,6 +19,7 @@ from test_chambers import (
     RANK5_COLS,
     RANK5_GRAM,
     flip_first_certificate,
+    negate_search_form,
 )
 from wallkit import chambers, cli
 
@@ -466,6 +467,15 @@ class TestChamber:
         assert code == cli.EXIT_INTERNAL == 4
         assert out == ""
         assert err.startswith("internal error: certificate")
+
+    def test_indefinite_majorant_exits_internal(self, capsys, monkeypatch):
+        # a search form that is not definite is wallkit's fault, not the query's
+        negate_search_form(monkeypatch, "_majorant_gram")
+        query = P2_QUERY(alpha=[2, -1], beta=[2, 1])
+        code, out, err = run(capsys, "chamber", "--format", "json", "--input", query)
+        assert code == cli.EXIT_INTERNAL == 4
+        assert out == ""
+        assert err == "internal error: search form: form is not positive definite\n"
 
     @pytest.mark.parametrize("fmt", ["json", "table"])
     @pytest.mark.parametrize("name", ["p2", "rk3"])
