@@ -6,7 +6,10 @@ All questions are reduced to exact finite enumerations:
   trick: for a positive reference a, q_a(x) = -x^2 + 2 (x,a)^2 / a^2 is
   positive definite, and every wall divisor separating a from b satisfies
   an explicit q_a bound derived from Cauchy-Schwarz for the majorant (see
-  `walls_between`).  Enumerating that ball is therefore complete.
+  `walls_between`).  Enumerating that ball is therefore complete.  Each
+  point is tested by its integer square against the wall types first;
+  only the few with a type's square pay for the Fraction pairings with
+  the endpoints and, after those, the divisibility test.
 * A supporting-wall search first checks that omega lies on no wall (one
   enumeration of the reduced, negative definite omega-perp), then gathers typed
   candidate classes, which differ by rank.  In rank 2 they are complete:

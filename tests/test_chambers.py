@@ -776,7 +776,7 @@ class TestWallsBetween:
             walls_between(P, case["alpha"], case["beta"], types, max_cells=cells - 1)
 
     def test_indefinite_majorant_is_internal_error(self, monkeypatch):
-        negate_search_form(monkeypatch, "_majorant_gram")
+        negate_majorant(monkeypatch)
         P = p2_data()
         with pytest.raises(InternalError, match="not positive definite"):
             walls_between(P, (2, -1), (2, 1), enumerate_wall_types(P.ctx))
@@ -828,16 +828,15 @@ class TestWallsBetween:
         assert any(splits) and not all(splits)
 
 
-def negate_search_form(monkeypatch, name):
-    """Negate the Gram that chambers.<name> builds, so a form that is
-    definite by construction no longer is: a broken internal invariant."""
-    build = getattr(chambers, name)
+def negate_majorant(monkeypatch):
+    """Negate the majorant Gram, so a form that is positive definite by
+    construction no longer is: a broken internal invariant."""
+    majorant = chambers._majorant_gram
 
-    def negated(*args):
-        gram = build(*args)
-        return tuple(tuple(-g for g in row) for row in gram)
+    def negated(P, a):
+        return tuple(tuple(-g for g in row) for row in majorant(P, a))
 
-    monkeypatch.setattr(chambers, name, negated)
+    monkeypatch.setattr(chambers, "_majorant_gram", negated)
 
 
 def integer_root(n, k):
@@ -1103,7 +1102,7 @@ class TestFacetSearch:
     def test_indefinite_rank2_majorant_is_internal_error(self, monkeypatch):
         # <4> + <-8> splits no hyperbolic plane, so the bracket is closed by
         # a majorant enumeration
-        negate_search_form(monkeypatch, "_majorant_gram")
+        negate_majorant(monkeypatch)
         P = bm2_n5_data()
         with pytest.raises(InternalError, match="not positive definite"):
             supporting_walls_report(P, P.omega_ref, enumerate_wall_types(P.ctx))

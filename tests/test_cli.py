@@ -19,7 +19,7 @@ from test_chambers import (
     RANK5_COLS,
     RANK5_GRAM,
     flip_first_certificate,
-    negate_search_form,
+    negate_majorant,
 )
 from wallkit import chambers, cli
 
@@ -470,7 +470,7 @@ class TestChamber:
 
     def test_indefinite_majorant_exits_internal(self, capsys, monkeypatch):
         # a search form that is not definite is wallkit's fault, not the query's
-        negate_search_form(monkeypatch, "_majorant_gram")
+        negate_majorant(monkeypatch)
         query = P2_QUERY(alpha=[2, -1], beta=[2, 1])
         code, out, err = run(capsys, "chamber", "--format", "json", "--input", query)
         assert code == cli.EXIT_INTERNAL == 4
