@@ -8,8 +8,9 @@ All questions are reduced to exact finite enumerations:
   an explicit q_a bound derived from Cauchy-Schwarz for the majorant (see
   `walls_between`).  Enumerating that ball is therefore complete.  Each
   point is tested by its integer square against the wall types first;
-  only the few with a type's square pay for the Fraction pairings with
-  the endpoints and, after those, the divisibility test.
+  only the few with a type's square are paired with the endpoints, and
+  in integers: G a and G b scaled to primitive integer rows keep every
+  sign.  The divisibility test comes last.
 * A supporting-wall search first checks that omega lies on no wall (one
   enumeration of the reduced, negative definite omega-perp), then gathers typed
   candidate classes, which differ by rank.  In rank 2 they are complete:
@@ -51,6 +52,7 @@ from .lattice import (
     IntegerLattice,
     LatticeVector,
     orthogonal_complement,
+    parse_frac,
     signature,
 )
 from .shortvec import CellBudget, enumerate_quadratic_leq
@@ -96,7 +98,7 @@ class PicardData:
         if signature(self.pic) != (1, self.pic.rank - 1):
             raise InputError("Picard lattice must have signature (1, rank-1)")
         if self.omega_ref is not None:
-            om = tuple(Fraction(x) for x in self.omega_ref)
+            om = tuple(map(parse_frac, self.omega_ref))
             if len(om) != self.pic.rank:
                 raise InputError("reference class has wrong length")
             if self.pic.norm(om) <= 0:
@@ -160,7 +162,7 @@ class ExtremalRay:
 
 
 def _fracs(P: PicardData, x) -> tuple[Fraction, ...]:
-    out = tuple(Fraction(c) for c in x)
+    out = tuple(map(parse_frac, x))
     if len(out) != P.pic.rank:
         raise InputError("class has wrong coordinate length")
     return out
@@ -192,6 +194,12 @@ def _primitive(vec) -> tuple[int, ...]:
 
 def _dot(a, x):
     return sum(map(mul, a, x))
+
+
+def _pairing_row(P: PicardData, c) -> tuple[int, ...]:
+    """G c scaled to a primitive integer row: for integral x, _dot(row, x)
+    is (x, c) times a positive rational, so it has the same sign."""
+    return _primitive_int(la.mat_vec(P.pic.gram, c))
 
 
 def _toward(P: PicardData, x, omega) -> tuple:
@@ -288,13 +296,14 @@ def walls_between(P: PicardData, alpha, beta, types, max_cells=None) -> list[Wal
     lookup = _type_lookup(types)
     max_abs_square = max(abs(t.square) for t in types)
     budget = CellBudget(max_cells)
+    ga, gb = _pairing_row(P, a), _pairing_row(P, b)
     pool: dict[tuple[int, ...], WallType] = {}
     _segment_candidates(P, a, b, _blowup(P, a, b), max_abs_square, lookup, budget, pool, 0)
     hits = []
     for x, t in pool.items():
-        x = _toward(P, x, a)
-        if _pair(P, x, a) > 0 and _pair(P, x, b) < 0:
-            hits.append((x, t))
+        sa = _dot(ga, x)
+        if sa * _dot(gb, x) < 0:
+            hits.append((x if sa > 0 else tuple(-c for c in x), t))
     return [Wall(D=P.pic.vector(x), wall_type=t) for x, t in sorted(hits)]
 
 
@@ -337,6 +346,7 @@ def _segment_candidates(P, a, b, blowup, max_abs_square, lookup, budget, pool, d
             _segment_candidates(P, mid, b, right, max_abs_square, lookup, budget, pool, depth + 1)
             return
     gram = _majorant_gram(P, a)
+    ga, gb = _pairing_row(P, a), _pairing_row(P, b)
     for x in _ball(gram, max_abs_square * blowup, budget):
         for c in x:
             if c:
@@ -345,10 +355,9 @@ def _segment_candidates(P, a, b, blowup, max_abs_square, lookup, budget, pool, d
                 break
         if x in pool or gcd(*x) != 1:
             continue
-        # the integer square first: most points have no wall type's square,
-        # and the two Fraction pairings cost far more
+        # the integer square first: most points have no wall type's square
         by_div = lookup.get(P.pic.norm(x))
-        if not by_div or _pair(P, x, a) * _pair(P, x, b) > 0:
+        if not by_div or _dot(ga, x) * _dot(gb, x) > 0:
             continue
         t = by_div.get(P.div_of(x))
         if t is None:

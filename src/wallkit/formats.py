@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .chambers import ExtremalRay, PicardData, SupportResult, Wall
 from .errors import InputError
-from .lattice import Embedding, IntegerLattice
+from .lattice import Embedding, IntegerLattice, parse_frac
 from .walls import WallType, WallWitness, make_context
 
 CSV_HEADER = "r2,D2,div"
@@ -35,20 +35,6 @@ def frac_str(x) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
-
-
-def parse_frac(value) -> Fraction:
-    """Accept ints, "p/q" strings, or anything Fraction already takes."""
-    if isinstance(value, bool):
-        raise InputError(f"not a rational: {value!r}")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"not a rational: {value!r}") from exc
-    raise InputError(f"not a rational: {value!r}")
 
 
 def _int(value) -> int:

@@ -141,6 +141,24 @@ class LatticeVector:
         return self + (-other)
 
 
+def parse_frac(value) -> Fraction:
+    """An exact rational from an int, a Fraction or a "p/q" string.
+
+    Anything else raises InputError: a bool is not a number here, and a
+    float is rejected rather than read as its binary value.
+    """
+    if isinstance(value, bool):
+        raise InputError(f"not a rational: {value!r}")
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"not a rational: {value!r}") from exc
+    raise InputError(f"not a rational: {value!r}")
+
+
 def _int_coords(v) -> tuple[int, ...]:
     """v as a tuple of ints; InputError when a coordinate is not integral."""
     v = tuple(v)

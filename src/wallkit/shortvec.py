@@ -53,8 +53,10 @@ class CellBudget:
     """Counts enumeration cells and trips when the cap is exceeded."""
 
     def __init__(self, max_cells: int | None = None):
-        if max_cells is not None and max_cells <= 0:
-            raise InputError(f"max_cells must be a positive integer, got {max_cells}")
+        if max_cells is not None and (
+            isinstance(max_cells, bool) or not isinstance(max_cells, int) or max_cells <= 0
+        ):
+            raise InputError(f"max_cells must be a positive integer, got {max_cells!r}")
         self.max_cells = configured_max_cells() if max_cells is None else max_cells
         self.used = 0
 

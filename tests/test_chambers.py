@@ -58,6 +58,15 @@ def picard(n, gram, cols, omega=None):
     return PicardData(ctx=ctx, pic=pic, embed=emb, omega_ref=om)
 
 
+# coordinates that are not exact rationals: a binary float, a bool, a string
+# that does not parse
+BAD_COORDINATES = [
+    pytest.param(2.7, id="float"),
+    pytest.param(True, id="bool"),
+    pytest.param("abc", id="string"),
+]
+
+
 def p2_data(omega=(2, -1)):
     # degree-2 polarization at n=2: H = e1 + f1, second basis vector the
     # rank-1 tail generator
@@ -408,6 +417,14 @@ class TestDualCone:
         with pytest.raises(InputError, match="coordinates must be integers"):
             in_dual_cone(P, [wall], (2, -1))
 
+    @pytest.mark.parametrize("bad", BAD_COORDINATES)
+    def test_non_exact_coordinate_rejected(self, bad):
+        P = p2_data()
+        with pytest.raises(InputError, match="not a rational"):
+            in_dual_cone(P, [(0, 1)], (bad, -1))
+        with pytest.raises(InputError, match="not a rational"):
+            in_dual_cone(P, [(0, 1)], (2, -1), omega=(bad, -1))
+
 
 class TestPositiveClass:
     def test_reference_is_positive(self):
@@ -428,6 +445,18 @@ class TestPositiveClass:
         P = p2_data(omega=None)
         with pytest.raises(ConfigurationError):
             is_positive_class(P, (1, 0))
+
+    @pytest.mark.parametrize("bad", BAD_COORDINATES)
+    def test_non_exact_coordinate_rejected(self, bad):
+        # (True, 0) was read as (1, 0), a positive class
+        P = p2_data()
+        with pytest.raises(InputError, match="not a rational"):
+            is_positive_class(P, (bad, 0))
+
+    @pytest.mark.parametrize("bad", BAD_COORDINATES)
+    def test_non_exact_reference_rejected(self, bad):
+        with pytest.raises(InputError, match="not a rational"):
+            replace(p2_data(), omega_ref=(bad, -1))
 
 
 # ----------------------------------------------------------- on-wall handling
@@ -775,6 +804,67 @@ class TestWallsBetween:
         with pytest.raises(EnumerationBudgetExceeded):
             walls_between(P, case["alpha"], case["beta"], types, max_cells=cells - 1)
 
+    @pytest.mark.parametrize(
+        "case, end, scale",
+        [
+            (case, end, k)
+            for case in WALLS_BETWEEN_RANDOM
+            for end in ("alpha", "beta")
+            for k in OMEGA_SCALES.values()
+        ],
+        ids=[
+            f"{c['name']}-{i}-{end}{name.rstrip('w')}"
+            for i, c in enumerate(WALLS_BETWEEN_RANDOM)
+            for end in ("alpha", "beta")
+            for name in OMEGA_SCALES
+        ],
+    )
+    def test_recorded_walls_are_scale_invariant(self, case, end, scale):
+        # a wall separates alpha from beta whatever their positive scale; the
+        # cells may differ, as the blowup of a rescaled segment does
+        P, types = recorded_pair(case)
+        ends = {e: tuple(Fraction(c) for c in case[e]) for e in ("alpha", "beta")}
+        ends[end] = tuple(scale * c for c in ends[end])
+        found = walls_between(P, ends["alpha"], ends["beta"], types)
+        assert [[list(w.D.coords), *wall_key(w)[1:]] for w in found] == case["walls"]
+
+    def test_sign_tests_pair_in_integers(self, monkeypatch):
+        # every sign test in the segment search pairs an integer point with
+        # an integer row, scaled from G alpha, G beta or a bisection point
+        dot = chambers._dot
+        rows = []
+
+        def integer_dot(a, x):
+            assert all(type(c) is int for c in (*a, *x)), (a, x)
+            rows.append(a)
+            return dot(a, x)
+
+        monkeypatch.setattr(chambers, "_dot", integer_dot)
+        P, types, a, b = pair29_data()
+        assert len(walls_between(P, a, b, types)) == 14
+        assert rows
+
+    @pytest.mark.parametrize("cap", ["100", 2.5, True])
+    def test_non_integer_cap_rejected(self, cap):
+        P = p2_data()
+        with pytest.raises(InputError, match="max_cells must be a positive integer"):
+            walls_between(P, (2, -1), (2, 1), enumerate_wall_types(P.ctx), max_cells=cap)
+
+    @pytest.mark.parametrize("bad", BAD_COORDINATES)
+    def test_non_exact_coordinate_rejected(self, bad):
+        P = p2_data()
+        types = enumerate_wall_types(P.ctx)
+        with pytest.raises(InputError, match="not a rational"):
+            walls_between(P, (bad, -1), (2, 1), types)
+        with pytest.raises(InputError, match="not a rational"):
+            walls_between(P, (2, -1), (2, bad), types)
+
+    def test_rational_strings_accepted(self):
+        P = p2_data()
+        types = enumerate_wall_types(P.ctx)
+        found = walls_between(P, ("2", " -1"), ("14/5", "-11/5"), types)
+        assert found == walls_between(P, (2, -1), (Fraction(14, 5), Fraction(-11, 5)), types)
+
     def test_indefinite_majorant_is_internal_error(self, monkeypatch):
         negate_majorant(monkeypatch)
         P = p2_data()
@@ -986,6 +1076,12 @@ class TestRank3Chamber:
         P = rank3_data()
         with pytest.raises(InputError):
             supporting_walls_report(P, (5, 3, 1), enumerate_wall_types(P.ctx), search_bound=0)
+
+    @pytest.mark.parametrize("bad", BAD_COORDINATES)
+    def test_non_exact_omega_rejected(self, bad):
+        P = rank3_data()
+        with pytest.raises(InputError, match="not a rational"):
+            supporting_walls_report(P, (bad, 3, 1), enumerate_wall_types(P.ctx))
 
 
 # ------------------------------------------------- chamber path consistency

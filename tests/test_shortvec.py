@@ -108,6 +108,14 @@ class TestContracts:
         with pytest.raises(InputError, match="max_cells must be a positive integer"):
             short_vectors(standard_lattice("E8(-1)"), -2, max_cells=cap)
 
+    @pytest.mark.parametrize("cap", ["100", 2.5, True])
+    def test_non_integer_cap_argument_rejected(self, cap):
+        # a string crashed with TypeError, 2.5 capped at 2.5 cells, True at 1
+        with pytest.raises(InputError, match="max_cells must be a positive integer"):
+            CellBudget(max_cells=cap)
+        with pytest.raises(InputError, match="max_cells must be a positive integer"):
+            short_vectors(standard_lattice("E8(-1)"), -2, max_cells=cap)
+
     @pytest.mark.parametrize("env", ["0", "-3", "x"])
     def test_nonpositive_cap_variable_rejected(self, env, monkeypatch):
         monkeypatch.setenv("WALLKIT_MAX_CELLS", env)
