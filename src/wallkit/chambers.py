@@ -6,11 +6,13 @@ All questions are reduced to exact finite enumerations:
   trick: for a positive reference a, q_a(x) = -x^2 + 2 (x,a)^2 / a^2 is
   positive definite, and every wall divisor separating a from b satisfies
   an explicit q_a bound derived from Cauchy-Schwarz for the majorant (see
-  `walls_between`).  Enumerating that ball is therefore complete.  Each
-  point is tested by its integer square against the wall types first;
-  only the few with a type's square are paired with the endpoints, and
-  in integers: G a and G b scaled to primitive integer rows keep every
-  sign.  The divisibility test comes last.
+  `walls_between`).  Enumerating that ball is therefore complete.  The
+  walk yields one of each pair x, -x for the cells of the whole ball.
+  Each point is tested by its integer square against the wall types
+  first, a sum over the Picard form's nonzero terms; only the few with a
+  type's square are paired with the endpoints, and in integers: G a and
+  G b scaled to primitive integer rows keep every sign.  The
+  divisibility test comes last.
 * A supporting-wall search first checks that omega lies on no wall (one
   enumeration of the reduced, negative definite omega-perp), then gathers typed
   candidate classes, which differ by rank.  In rank 2 they are complete:
@@ -55,7 +57,7 @@ from .lattice import (
     parse_frac,
     signature,
 )
-from .shortvec import CellBudget, enumerate_quadratic_leq
+from .shortvec import CellBudget, _fp_decompose, _fp_points, enumerate_quadratic_leq
 from .walls import NContext, WallType, _quad_roots
 
 __all__ = [
@@ -117,6 +119,19 @@ class PicardData:
         ge = la.mat_mul(self.ctx.ambient.gram, self.embed.matrix)
         p, _, _ = la.smith_normal_form(ge)
         return la.mat_mul(p[: self.pic.rank], ge)
+
+    @functools.cached_property
+    def _square_terms(self) -> tuple[tuple[int, int, int], ...]:
+        """The nonzero (i, j, c), i <= j, with x^2 = sum c x_i x_j: c is
+        G_ii on the diagonal and 2 G_ij off it."""
+        g = self.pic.gram
+        n = len(g)
+        return tuple(
+            (i, j, g[i][j] if i == j else 2 * g[i][j])
+            for i in range(n)
+            for j in range(i, n)
+            if g[i][j]
+        )
 
     def div_of(self, coords) -> int:
         """Divisibility in L_n (not in pic) of an integral pic class."""
@@ -246,6 +261,18 @@ def _ball(gram, bound, budget: CellBudget):
         raise InternalError(f"search form: {exc}") from exc
 
 
+def _half_ball(gram, bound, budget: CellBudget):
+    """(x, slack) for one of each pair x, -x of `_ball`'s points: the one
+    whose last nonzero coordinate is positive, in `_ball`'s order and for
+    the same cells.  Like `_ball`, InternalError for a form that is not
+    definite."""
+    try:
+        q = _fp_decompose(gram)
+    except ValueError as exc:
+        raise InternalError(f"search form: {exc}") from exc
+    return _fp_points(q, Fraction(bound), budget, half=True)
+
+
 def is_positive_class(P: PicardData, x) -> bool:
     """x^2 > 0 and x on the same side as the reference class."""
     if P.omega_ref is None:
@@ -336,7 +363,8 @@ def _split_pays(whole, left, right, rank):
 
 def _segment_candidates(P, a, b, blowup, max_abs_square, lookup, budget, pool, depth):
     """Pool primitive typed classes vanishing on the closed segment [a, b],
-    bisecting while the halves' majorant balls hold less volume."""
+    one of each pair x, -x, bisecting while the halves' majorant balls
+    hold less volume."""
     budget.spend()
     if depth < _MAX_SPLIT_DEPTH:
         mid = tuple((x + y) / 2 for x, y in zip(a, b))
@@ -347,16 +375,15 @@ def _segment_candidates(P, a, b, blowup, max_abs_square, lookup, budget, pool, d
             return
     gram = _majorant_gram(P, a)
     ga, gb = _pairing_row(P, a), _pairing_row(P, b)
-    for x in _ball(gram, max_abs_square * blowup, budget):
-        for c in x:
-            if c:
-                if c < 0:
-                    x = tuple(-v for v in x)
-                break
+    terms = P._square_terms
+    for x, _ in _half_ball(gram, max_abs_square * blowup, budget):
         if x in pool or gcd(*x) != 1:
             continue
         # the integer square first: most points have no wall type's square
-        by_div = lookup.get(P.pic.norm(x))
+        s = 0
+        for i, j, c in terms:
+            s += c * x[i] * x[j]
+        by_div = lookup.get(s)
         if not by_div or _dot(ga, x) * _dot(gb, x) > 0:
             continue
         t = by_div.get(P.div_of(x))

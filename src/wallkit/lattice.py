@@ -160,12 +160,21 @@ def parse_frac(value) -> Fraction:
 
 
 def _int_coords(v) -> tuple[int, ...]:
-    """v as a tuple of ints; InputError when a coordinate is not integral."""
+    """v as a tuple of ints; InputError unless each coordinate is an int or
+    an integral Fraction.  As in `parse_frac`, a bool is not a number here
+    and a float is rejected, even an integral one."""
     v = tuple(v)
-    c = tuple(map(int, v))
-    if c != v:
-        raise InputError(f"coordinates must be integers, got {v}")
-    return c
+    if all(type(c) is int for c in v):
+        return v
+    out = []
+    for c in v:
+        if isinstance(c, Fraction) and c.denominator == 1:
+            out.append(c.numerator)
+        elif isinstance(c, int) and not isinstance(c, bool):
+            out.append(int(c))
+        else:
+            raise InputError(f"coordinates must be integers, got {v}")
+    return tuple(out)
 
 
 def _trusted_vectors(

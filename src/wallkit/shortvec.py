@@ -90,7 +90,11 @@ def _fp_decompose(gram: Sequence[Sequence]) -> list[list[Fraction]]:
 
 
 def _fp_points(
-    q: list[list[Fraction]], bound: Fraction, budget: CellBudget, half: bool = False
+    q: list[list[Fraction]],
+    bound: Fraction,
+    budget: CellBudget,
+    half: bool = False,
+    exact: bool = False,
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Yield (x, M * (bound - Q(x))) for every nonzero x with Q(x) <= bound.
 
@@ -107,15 +111,20 @@ def _fp_points(
     centre, last k, spine flag), depth first from level n - 1 down, so the
     generator stays lazy without a frame per level.
 
-    With `half`, only the points with Q(x) == bound are yielded, one of
-    each pair x, -x: the one whose last nonzero coordinate is positive.  On
-    the spine, where every coordinate above the level is 0, the centre is 0
-    and the bracket symmetric, so the level tries k >= 0 only; a level
-    entered off the spine is charged twice, for itself and for its mirror
-    under x -> -x, whose bracket has the same size.  The cells charged are
-    then those of the full walk.  Level 0 is solved, not scanned: w_0 t^2 = R
-    needs R / w_0 to be a square s^2, and t = +-s gives x_0 = (t - C) / e_0
-    when e_0 divides t - C (t = s only on the spine).
+    Two switches, independent of each other:
+
+    * `half` yields one of each pair x, -x: the one whose last nonzero
+      coordinate is positive, in the full walk's order.  On the spine,
+      where every coordinate above the level is 0, the centre is 0 and the
+      bracket symmetric, so the level tries k >= 0 only (k >= 1 at level
+      0, as k = 0 there is the zero vector); a level entered off the spine
+      is charged twice, for itself and for its mirror under x -> -x, whose
+      bracket has the same size.  The cells charged are then those of the
+      full walk.
+    * `exact` yields only the points with Q(x) == bound, and level 0 is
+      solved, not scanned: w_0 t^2 = R needs R / w_0 to be a square s^2,
+      and t = +-s gives x_0 = (t - C) / e_0 when e_0 divides t - C (t = s
+      only on the spine of a half walk).  The cells charged are unchanged.
     """
     n = len(q)
     e = [math.lcm(*(q[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
@@ -148,17 +157,17 @@ def _fp_points(
                 spine = spine and not lo
                 i -= 1
                 continue
-        elif half:
+        elif exact:
             if wi * s * s == rem:
                 # the roots t of w_0 t^2 = R, ascending in k
-                for t in (s,) if spine else (-s, s) if s else (0,):
+                for t in (s,) if half and spine else (-s, s) if s else (0,):
                     k, r = divmod(t - c, ei)
                     if not r and (k or not spine):
                         x[0] = k
                         yield tuple(x), 0
                 x[0] = 0
         else:
-            for k in range(-((s + c) // ei), (s - c) // ei + 1):
+            for k in range(1 if half and spine else -((s + c) // ei), (s - c) // ei + 1):
                 if k or not spine:
                     x[0] = k
                     t = ei * k + c
@@ -246,7 +255,7 @@ def short_vectors(
     budget = CellBudget(max_cells)
     if target_norm % 2:
         return []
-    hits = [x for x, _ in _fp_points(q, Fraction(abs(target_norm)), budget, half=True)]
+    hits = [x for x, _ in _fp_points(q, Fraction(abs(target_norm)), budget, half=True, exact=True)]
     hits.sort()
     # negation reverses the order: two sorted runs for sort() to merge
     hits += [tuple(map(neg, x)) for x in reversed(hits)]

@@ -326,6 +326,17 @@ class TestDivOf:
             rank3_data().div_of((0, 0, 0))
 
 
+class TestSquareTerms:
+    @pytest.mark.parametrize("name", list(DIV_LATTICES))
+    def test_term_sum_is_the_square_on_box(self, name):
+        # the U summand of the rank >= 3 forms puts G_01 = 1 off the diagonal
+        P = picard(*DIV_LATTICES[name])
+        terms = P._square_terms
+        assert all(i <= j and c for i, j, c in terms)
+        for x in itertools.product(range(-3, 4), repeat=P.pic.rank):
+            assert sum(c * x[i] * x[j] for i, j, c in terms) == P.pic.norm(x), x
+
+
 # ------------------------------------------------------------ box candidates
 
 
@@ -414,6 +425,14 @@ class TestDualCone:
     def test_non_integral_raw_wall_rejected(self, wall):
         # truncated to (1, 0), the wall would let (2, -1) pass
         P = p2_data()
+        with pytest.raises(InputError, match="coordinates must be integers"):
+            in_dual_cone(P, [wall], (2, -1))
+
+    @pytest.mark.parametrize("wall", [(False, True), (0.0, 1.0)], ids=["bool", "float"])
+    def test_bool_and_float_raw_wall_rejected(self, wall):
+        # read as (0, 1), the wall would let (2, -1) pass
+        P = p2_data()
+        assert in_dual_cone(P, [(0, 1)], (2, -1))
         with pytest.raises(InputError, match="coordinates must be integers"):
             in_dual_cone(P, [wall], (2, -1))
 

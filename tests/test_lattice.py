@@ -75,9 +75,15 @@ class TestStandardLattices:
             IntegerLattice(((entry,),))
 
     def test_integral_gram_values_accepted(self):
-        gram = IntegerLattice(((Fraction(4), 1.0), (1, -2))).gram
+        gram = IntegerLattice(((Fraction(4), Fraction(1)), (1, -2))).gram
         assert gram == ((4, 1), (1, -2))
         assert all(type(c) is int for row in gram for c in row)
+
+    @pytest.mark.parametrize("entry", [True, 1.0])
+    def test_bool_and_float_gram_entries_rejected(self, entry):
+        # read as 1, either would build the lattice ((2, 1), (1, -2))
+        with pytest.raises(InputError, match="coordinates must be integers"):
+            IntegerLattice(((2, entry), (entry, -2)))
 
 
 class TestVectors:
@@ -99,9 +105,19 @@ class TestVectors:
             U.vector((1, coord))
 
     def test_integral_values_accepted(self):
-        for v in (LatticeVector(U, [Fraction(4), 2.0]), U.vector((Fraction(4), 2.0))):
+        for v in (LatticeVector(U, [Fraction(4), 2]), U.vector((Fraction(4), Fraction(2)))):
             assert v.coords == (4, 2)
             assert all(type(c) is int for c in v.coords)
+
+    @pytest.mark.parametrize(
+        "coords", [(True, 2), (1, False), (1, 2.0), (0.0, 1)], ids=["true", "false", "2.0", "0.0"]
+    )
+    def test_bool_and_float_coordinates_rejected(self, coords):
+        # as in parse_frac: a bool is not a number, and a float is not exact
+        with pytest.raises(InputError, match="coordinates must be integers"):
+            LatticeVector(U, coords)
+        with pytest.raises(InputError, match="coordinates must be integers"):
+            U.vector(coords)
 
     def test_divisibility_examples(self):
         L = standard_lattice("Ln", 3)
@@ -235,6 +251,11 @@ class TestEmbedding:
             Embedding(standard_lattice("rank1", 2), U, ((1,), (entry,)))
         emb = Embedding(standard_lattice("rank1", 2), U, ((1,), (Fraction(1),)))
         assert emb.matrix == ((1,), (1,))
+
+    @pytest.mark.parametrize("entry", [True, 1.0])
+    def test_bool_and_float_matrix_entries_rejected(self, entry):
+        with pytest.raises(InputError, match="coordinates must be integers"):
+            Embedding(standard_lattice("rank1", 2), U, ((1,), (entry,)))
 
     @pytest.mark.parametrize("coords", [(1,), (1,) * 22, (1,) * 30])
     def test_apply_rejects_wrong_length(self, coords):

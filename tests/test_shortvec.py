@@ -236,13 +236,44 @@ class TestRandomRationalForms:
         bound = Fraction(case["bound"])
         full, half = CellBudget(max_cells=10**7), CellBudget(max_cells=10**7)
         on_bound = [x for x, slack in shortvec._fp_points(q, bound, full) if slack == 0]
-        kept = list(shortvec._fp_points(q, bound, half, half=True))
+        kept = list(shortvec._fp_points(q, bound, half, half=True, exact=True))
         assert half.used == full.used == case["used"]
         assert all(slack == 0 for _, slack in kept)
         kept = [x for x, _ in kept]
         assert kept == [x for x in on_bound if next(c for c in reversed(x) if c) > 0]
         assert set(kept) | {tuple(-c for c in x) for x in kept} == set(on_bound)
         assert 2 * len(kept) == len(on_bound)
+
+    @pytest.mark.parametrize(
+        "case", ENUMERATE_RANDOM, ids=[f"f{i}" for i in range(len(ENUMERATE_RANDOM))]
+    )
+    def test_half_ball_is_one_of_each_sign(self, case):
+        # the half walk up to the bound yields the full walk's points with a
+        # positive last nonzero coordinate, in order and with their slacks,
+        # and charges the full walk's cells
+        q = shortvec._fp_decompose([[Fraction(v) for v in row] for row in case["gram"]])
+        bound = Fraction(case["bound"])
+        full, half = CellBudget(max_cells=10**7), CellBudget(max_cells=10**7)
+        ball = list(shortvec._fp_points(q, bound, full))
+        kept = list(shortvec._fp_points(q, bound, half, half=True))
+        assert half.used == full.used == case["used"]
+        assert kept == [(x, slack) for x, slack in ball if next(c for c in reversed(x) if c) > 0]
+        kept = {x for x, _ in kept}
+        assert kept | {tuple(-c for c in x) for x in kept} == {x for x, _ in ball}
+        assert 2 * len(kept) == len(ball)
+
+    @pytest.mark.parametrize(
+        "case", ENUMERATE_RANDOM, ids=[f"f{i}" for i in range(len(ENUMERATE_RANDOM))]
+    )
+    def test_exact_walk_is_the_shell(self, case):
+        # without `half`, the solved last level yields both signs: the full
+        # walk's slack-0 points, in order, for the same cells
+        q = shortvec._fp_decompose([[Fraction(v) for v in row] for row in case["gram"]])
+        bound = Fraction(case["bound"])
+        full, exact = CellBudget(max_cells=10**7), CellBudget(max_cells=10**7)
+        shell = [p for p in shortvec._fp_points(q, bound, full) if p[1] == 0]
+        assert list(shortvec._fp_points(q, bound, exact, exact=True)) == shell
+        assert exact.used == full.used == case["used"]
 
     def test_bound_values_are_emitted(self):
         # odd cases take the value of a nonzero integer point as the bound
