@@ -6,13 +6,12 @@ All questions are reduced to exact finite enumerations:
   trick: for a positive reference a, q_a(x) = -x^2 + 2 (x,a)^2 / a^2 is
   positive definite, and every wall divisor separating a from b satisfies
   an explicit q_a bound derived from Cauchy-Schwarz for the majorant (see
-  `walls_between`).  Enumerating that ball is therefore complete.  The
-  walk yields one of each pair x, -x for the cells of the whole ball.
-  Each point is tested by its integer square against the wall types
-  first, a sum over the Picard form's nonzero terms; only the few with a
-  type's square are paired with the endpoints, and in integers: G a and
-  G b scaled to primitive integer rows keep every sign.  The
-  divisibility test comes last.
+  `walls_between`).  Enumerating that ball is therefore complete.  Each
+  point is tested by its integer square against the wall types first, a
+  sum over the Picard form's nonzero terms; only the few with a type's
+  square are paired with the endpoints, and in integers: G a and G b
+  scaled to primitive integer rows keep every sign.  The divisibility
+  test comes last.
 * A supporting-wall search first checks that omega lies on no wall (one
   enumeration of the reduced, negative definite omega-perp), then gathers typed
   candidate classes, which differ by rank.  In rank 2 they are complete:
@@ -32,6 +31,11 @@ All questions are reduced to exact finite enumerations:
   decided exactly, a sup-of-quadratic question solved on it from the rays
   it contains plus stationary points of the faces its neighbours in K
   cut.
+
+Every enumeration above (the segment's majorant balls, the on-wall check
+and the rank-2 closing ball) walks one of each pair x, -x, for the cells of
+the whole ball: a class and its negative have the same square,
+divisibility and primitivity.
 
 Every supporting-wall answer depends on omega only up to positive scale, so
 omega is rational only at the API: the public entry points scale it once to
@@ -57,7 +61,7 @@ from .lattice import (
     parse_frac,
     signature,
 )
-from .shortvec import CellBudget, _fp_decompose, _fp_points, enumerate_quadratic_leq
+from .shortvec import CellBudget, _fp_decompose, _fp_points
 from .walls import NContext, WallType, _quad_roots
 
 __all__ = [
@@ -229,14 +233,6 @@ def _type_lookup(types) -> dict[int, dict[int, WallType]]:
     return out
 
 
-def _match_type(P: PicardData, coords, lookup) -> WallType | None:
-    s = P.pic.norm(coords)
-    by_div = lookup.get(s)
-    if not by_div:
-        return None
-    return by_div.get(P.div_of(coords))
-
-
 def _majorant_gram(P: PicardData, a: tuple[Fraction, ...]):
     """Positive-definite Gram of q_a(x) = -x^2 + 2 (x,a)^2 / a^2."""
     g = P.pic.gram
@@ -250,22 +246,11 @@ def _majorant_gram(P: PicardData, a: tuple[Fraction, ...]):
 
 
 def _ball(gram, bound, budget: CellBudget):
-    """enumerate_quadratic_leq on a form that is definite by construction.
-
-    A failed definiteness check there is a broken invariant of the search,
-    not bad input, so it surfaces as InternalError.
-    """
-    try:
-        yield from enumerate_quadratic_leq(gram, bound, budget)
-    except InputError as exc:
-        raise InternalError(f"search form: {exc}") from exc
-
-
-def _half_ball(gram, bound, budget: CellBudget):
-    """(x, slack) for one of each pair x, -x of `_ball`'s points: the one
-    whose last nonzero coordinate is positive, in `_ball`'s order and for
-    the same cells.  Like `_ball`, InternalError for a form that is not
-    definite."""
+    """One of each pair x, -x of the nonzero integer x with x^T gram x <=
+    bound, the one whose last nonzero coordinate is positive, for the cells
+    of the whole ball.  `gram` is definite by construction, so a failed
+    definiteness check is a broken invariant of the search, not bad input:
+    it surfaces as InternalError."""
     try:
         q = _fp_decompose(gram)
     except ValueError as exc:
@@ -376,7 +361,7 @@ def _segment_candidates(P, a, b, blowup, max_abs_square, lookup, budget, pool, d
     gram = _majorant_gram(P, a)
     ga, gb = _pairing_row(P, a), _pairing_row(P, b)
     terms = P._square_terms
-    for x, _ in _half_ball(gram, max_abs_square * blowup, budget):
+    for x in _ball(gram, max_abs_square * blowup, budget):
         if x in pool or gcd(*x) != 1:
             continue
         # the integer square first: most points have no wall type's square
@@ -565,15 +550,18 @@ def _check_on_wall(P: PicardData, omega, lookup, budget: CellBudget):
     every such class.  The enumeration runs in an LLL-reduced basis U, as
     the complement's basis is badly skewed for a large omega; the wall named
     is the first by |square|, then by coordinates w = U^T y in the latter.
+    The walk keeps one of each pair y, -y, and w and -w share primitivity
+    and type, so each pair enters as the smaller of w and -w.
     """
     comp = orthogonal_complement(P.pic, [omega])
     u, red = la.lll_reduce(tuple(tuple(-g for g in row) for row in comp.source.gram))
     ut = la.transpose(u)
     # type squares are negative: red(y) is |s|
     hits = sorted(
-        (minus_s, la.mat_vec(ut, y))
+        (minus_s, min(w, tuple(-c for c in w)))
         for y in _ball(red, max(map(abs, lookup)), budget)
         if -(minus_s := la.vec_mat_vec(y, red, y)) in lookup
+        for w in [la.mat_vec(ut, y)]
     )
     for minus_s, w in hits:
         cand = comp.apply(w)
@@ -715,11 +703,11 @@ def _support_rank2(P, omega, lookup, bound, budget):
         sides[1 if side > 0 else -1].append(mu)
     mu_cap = max(min(v) for v in sides.values() if v)
     cap = max(abs(s) * (2 * mu_cap - 1) for s in lookup)
-    gram = _majorant_gram(P, omega)
-    for x in _ball(gram, cap, budget):
-        if gcd(*x) != 1 or x in cands:
+    for x in _ball(_majorant_gram(P, omega), cap, budget):
+        by_div = lookup.get(P.pic.norm(x))
+        if not by_div or gcd(*x) != 1:
             continue
-        t = _match_type(P, x, lookup)
+        t = by_div.get(P.div_of(x))
         if t is not None:
             cands.setdefault(_toward(P, x, omega), t)
     return cands, all(sides.values())

@@ -26,7 +26,6 @@ __all__ = [
     "smith_normal_form",
     "discriminant_group",
     "divisibility",
-    "is_primitive",
     "disc_class",
     "orthogonal_complement",
     "saturation",
@@ -323,11 +322,6 @@ def divisibility(lattice: IntegerLattice, v: Sequence[int]) -> int:
     return d
 
 
-def is_primitive(lattice: IntegerLattice, v: Sequence[int]) -> bool:
-    coords = _coords_in(lattice, v)
-    return any(coords) and gcd(*coords) == 1
-
-
 @dataclass(frozen=True)
 class DiscriminantGroup:
     """The finite quadratic form (A_L = L^dual / L, q, b).
@@ -344,13 +338,6 @@ class DiscriminantGroup:
     generators: tuple[tuple[Fraction, ...], ...]
     _qinv: tuple[tuple[int, ...], ...] = field(repr=False)
     _diag: tuple[int, ...] = field(repr=False)
-
-    @property
-    def order(self) -> int:
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
 
     def _rational_rep(self, exponents: Sequence[int]) -> tuple[Fraction, ...]:
         if len(exponents) != len(self.invariant_factors):

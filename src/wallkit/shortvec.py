@@ -2,12 +2,11 @@
 
 Fincke-Pohst in integers.  A Fraction-valued Cholesky-style decomposition
 checks definiteness; its rows are then brought to one common denominator,
-so the walk adds, multiplies and compares integers only and knows each
-point's exact slack (the bound minus its value, times that denominator).
-The walk is one lazy generator loop over explicit per-level state, not a
-chain of nested generators.  `short_vectors` walks one of each pair x, -x
-(a sign-symmetric walk that charges the same cells as the full one),
-solves the last coordinate of each point of the shell exactly instead of
+so the walk adds, multiplies and compares integers only.  The walk is
+one lazy generator loop over explicit per-level state, not a chain of
+nested generators.  `short_vectors` walks one of each pair x, -x (a
+sign-symmetric walk that charges the same cells as the full one), solves
+the last coordinate of each point of the shell exactly instead of
 scanning its bracket, and returns the walk's own tuples with their
 negatives, wrapped without re-checking.  Every bound is tested in exact
 arithmetic, so the enumeration is provably complete (no floating-point
@@ -95,8 +94,8 @@ def _fp_points(
     budget: CellBudget,
     half: bool = False,
     exact: bool = False,
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield (x, M * (bound - Q(x))) for every nonzero x with Q(x) <= bound.
+) -> Iterator[tuple[int, ...]]:
+    """Yield every nonzero integer x with Q(x) <= bound, as a tuple.
 
     `q` is the `_fp_decompose` of Q and bound >= 0.  The walk runs on
     integers.  Let e_i be the denominator of row i of q and M the least
@@ -164,14 +163,13 @@ def _fp_points(
                     k, r = divmod(t - c, ei)
                     if not r and (k or not spine):
                         x[0] = k
-                        yield tuple(x), 0
+                        yield tuple(x)
                 x[0] = 0
         else:
             for k in range(1 if half and spine else -((s + c) // ei), (s - c) // ei + 1):
                 if k or not spine:
                     x[0] = k
-                    t = ei * k + c
-                    yield tuple(x), rem - wi * t * t
+                    yield tuple(x)
             x[0] = 0
         # back up to the lowest level that has a k left to try
         i += 1
@@ -211,8 +209,7 @@ def enumerate_quadratic_leq(
         raise InputError(str(exc)) from exc
     if budget is None:
         budget = CellBudget()
-    for x, _ in _fp_points(q, bound, budget):
-        yield x
+    yield from _fp_points(q, bound, budget)
 
 
 def _definite_decompose(lattice: IntegerLattice) -> tuple[int, list[list[Fraction]]]:
@@ -255,7 +252,7 @@ def short_vectors(
     budget = CellBudget(max_cells)
     if target_norm % 2:
         return []
-    hits = [x for x, _ in _fp_points(q, Fraction(abs(target_norm)), budget, half=True, exact=True)]
+    hits = list(_fp_points(q, Fraction(abs(target_norm)), budget, half=True, exact=True))
     hits.sort()
     # negation reverses the order: two sorted runs for sort() to merge
     hits += [tuple(map(neg, x)) for x in reversed(hits)]

@@ -103,6 +103,15 @@ def unsigned(coords):
     return c
 
 
+def match_type(P, x, lookup):
+    """The wall type of the square and ambient divisibility of x in
+    `lookup` (square -> div -> type), or None."""
+    by_div = lookup.get(P.pic.norm(x))
+    if not by_div:
+        return None
+    return by_div.get(divisibility(P.ctx.ambient, P.embed.apply(x).coords))
+
+
 # ------------------------------------------------------------ golden chambers
 
 
@@ -350,7 +359,7 @@ def box_candidates_by_cell(P, omega, lookup, bound, budget):
     for x in itertools.product(range(-bound, bound + 1), repeat=n):
         if not any(x) or gcd(*x) != 1:
             continue
-        t = chambers._match_type(P, x, lookup)
+        t = match_type(P, x, lookup)
         if t is None:
             continue
         if sum(h * c for h, c in zip(side, x)) < 0:
@@ -513,7 +522,7 @@ def on_wall_by_majorant_ball(P, omega, lookup):
         for x in enumerate_quadratic_leq(gram, max(map(abs, lookup)))
         if P.pic.inner(x, om) == 0
         and gcd(*x) == 1
-        and chambers._match_type(P, x, lookup) is not None
+        and match_type(P, x, lookup) is not None
     }
 
 
@@ -602,7 +611,7 @@ class TestOnWall:
         typed = [
             x
             for x in itertools.product(range(-2, 3), repeat=P.pic.rank)
-            if any(x) and gcd(*x) == 1 and chambers._match_type(P, x, lookup)
+            if any(x) and gcd(*x) == 1 and match_type(P, x, lookup)
         ]
         rng = random.Random(name)
         off = []
@@ -634,7 +643,7 @@ class TestOnWall:
         typed = [
             x
             for x in itertools.product(range(-2, 3), repeat=P.pic.rank)
-            if any(x) and gcd(*x) == 1 and chambers._match_type(P, x, lookup)
+            if any(x) and gcd(*x) == 1 and match_type(P, x, lookup)
         ]
         rng = random.Random(name)
         for k in range(8):
@@ -1242,3 +1251,35 @@ class TestFacetSearch:
         P = p2_data()
         with pytest.raises(InternalError):
             supporting_walls_report(P, P.omega_ref, enumerate_wall_types(P.ctx))
+
+
+# ---------------------------------------------------- recorded support cells
+
+
+SUPPORT_CELLS = json.loads(
+    (GOLDEN_DIR / "support_cells.json").read_text(encoding="utf-8")
+)["cases"]
+
+
+class TestSupportCells:
+    @pytest.mark.parametrize("case", SUPPORT_CELLS, ids=[c["source"] for c in SUPPORT_CELLS])
+    def test_recorded_cells(self, case):
+        # the recorded cap is exactly what the search spends, on-wall check
+        # included; a cap of 1 has no smaller cap to trip
+        query = parse_chamber_query(case["query"])
+        P, cells = query["P"], case["cells"]
+        types = RANK2_TYPES[case["types"]](P.ctx)
+
+        def search(max_cells):
+            return supporting_walls_report(
+                P, query["omega"], types, query.get("bound", 12), max_cells=max_cells
+            )
+
+        if case["on_wall"]:
+            with pytest.raises(OnWallError):
+                search(cells)
+        else:
+            search(cells)
+        if cells > 1:
+            with pytest.raises(EnumerationBudgetExceeded):
+                search(cells - 1)

@@ -230,16 +230,18 @@ class TestRandomRationalForms:
     )
     def test_half_walk_is_one_of_each_sign(self, case):
         # the half walk solves the last level exactly: it yields the full
-        # walk's slack-0 points with a positive last nonzero coordinate, in
-        # the full walk's order, and charges the full walk's cells
-        q = shortvec._fp_decompose([[Fraction(v) for v in row] for row in case["gram"]])
+        # walk's points on the bound with a positive last nonzero
+        # coordinate, in the full walk's order, and charges the full walk's
+        # cells
+        gram = [[Fraction(v) for v in row] for row in case["gram"]]
+        q = shortvec._fp_decompose(gram)
         bound = Fraction(case["bound"])
         full, half = CellBudget(max_cells=10**7), CellBudget(max_cells=10**7)
-        on_bound = [x for x, slack in shortvec._fp_points(q, bound, full) if slack == 0]
+        on_bound = [
+            x for x in shortvec._fp_points(q, bound, full) if la.vec_mat_vec(x, gram, x) == bound
+        ]
         kept = list(shortvec._fp_points(q, bound, half, half=True, exact=True))
         assert half.used == full.used == case["used"]
-        assert all(slack == 0 for _, slack in kept)
-        kept = [x for x, _ in kept]
         assert kept == [x for x in on_bound if next(c for c in reversed(x) if c) > 0]
         assert set(kept) | {tuple(-c for c in x) for x in kept} == set(on_bound)
         assert 2 * len(kept) == len(on_bound)
@@ -249,17 +251,16 @@ class TestRandomRationalForms:
     )
     def test_half_ball_is_one_of_each_sign(self, case):
         # the half walk up to the bound yields the full walk's points with a
-        # positive last nonzero coordinate, in order and with their slacks,
-        # and charges the full walk's cells
+        # positive last nonzero coordinate, in order, and charges the full
+        # walk's cells
         q = shortvec._fp_decompose([[Fraction(v) for v in row] for row in case["gram"]])
         bound = Fraction(case["bound"])
         full, half = CellBudget(max_cells=10**7), CellBudget(max_cells=10**7)
         ball = list(shortvec._fp_points(q, bound, full))
         kept = list(shortvec._fp_points(q, bound, half, half=True))
         assert half.used == full.used == case["used"]
-        assert kept == [(x, slack) for x, slack in ball if next(c for c in reversed(x) if c) > 0]
-        kept = {x for x, _ in kept}
-        assert kept | {tuple(-c for c in x) for x in kept} == {x for x, _ in ball}
+        assert kept == [x for x in ball if next(c for c in reversed(x) if c) > 0]
+        assert set(kept) | {tuple(-c for c in x) for x in kept} == set(ball)
         assert 2 * len(kept) == len(ball)
 
     @pytest.mark.parametrize(
@@ -267,11 +268,14 @@ class TestRandomRationalForms:
     )
     def test_exact_walk_is_the_shell(self, case):
         # without `half`, the solved last level yields both signs: the full
-        # walk's slack-0 points, in order, for the same cells
-        q = shortvec._fp_decompose([[Fraction(v) for v in row] for row in case["gram"]])
+        # walk's points on the bound, in order, for the same cells
+        gram = [[Fraction(v) for v in row] for row in case["gram"]]
+        q = shortvec._fp_decompose(gram)
         bound = Fraction(case["bound"])
         full, exact = CellBudget(max_cells=10**7), CellBudget(max_cells=10**7)
-        shell = [p for p in shortvec._fp_points(q, bound, full) if p[1] == 0]
+        shell = [
+            x for x in shortvec._fp_points(q, bound, full) if la.vec_mat_vec(x, gram, x) == bound
+        ]
         assert list(shortvec._fp_points(q, bound, exact, exact=True)) == shell
         assert exact.used == full.used == case["used"]
 
