@@ -34,7 +34,6 @@ from .lattice import (
 from .shortvec import (
     CellBudget,
     configured_max_cells,
-    enumerate_quadratic_leq,
     short_vectors,
 )
 from .walls import (
@@ -111,7 +110,6 @@ __all__ = [
     "dual_ray",
     "eichler_invariants",
     "eichler_transvection",
-    "enumerate_quadratic_leq",
     "enumerate_wall_types",
     "extremal_rays",
     "ht_bound_ok",

@@ -187,14 +187,6 @@ def _fracs(P: PicardData, x) -> tuple[Fraction, ...]:
     return out
 
 
-def _norm(P: PicardData, x) -> Fraction:
-    return Fraction(P.pic.norm(x))
-
-
-def _pair(P: PicardData, x, y) -> Fraction:
-    return Fraction(P.pic.inner(x, y))
-
-
 def _primitive_int(vec) -> tuple[int, ...]:
     """Scale a rational vector to its primitive integer representative,
     preserving direction."""
@@ -255,7 +247,7 @@ def _ball(gram, bound, budget: CellBudget):
         q = _fp_decompose(gram)
     except ValueError as exc:
         raise InternalError(f"search form: {exc}") from exc
-    return _fp_points(q, Fraction(bound), budget, half=True)
+    return _fp_points(q, Fraction(bound), budget)
 
 
 def is_positive_class(P: PicardData, x) -> bool:
@@ -263,7 +255,7 @@ def is_positive_class(P: PicardData, x) -> bool:
     if P.omega_ref is None:
         raise ConfigurationError("positivity test needs a reference class")
     xf = _fracs(P, x)
-    return _norm(P, xf) > 0 and P.pic.inner(xf, _primitive_int(P.omega_ref)) > 0
+    return P.pic.norm(xf) > 0 and P.pic.inner(xf, _primitive_int(P.omega_ref)) > 0
 
 
 # ----------------------------------------------------- segment wall crossing
@@ -293,9 +285,9 @@ def walls_between(P: PicardData, alpha, beta, types, max_cells=None) -> list[Wal
     """
     a = _fracs(P, alpha)
     b = _fracs(P, beta)
-    asq = _norm(P, a)
-    bsq = _norm(P, b)
-    ab = _pair(P, a, b)
+    asq = P.pic.norm(a)
+    bsq = P.pic.norm(b)
+    ab = P.pic.inner(a, b)
     if asq <= 0 or bsq <= 0 or ab <= 0:
         raise InputError(
             "walls_between needs positive classes in the same component"
@@ -324,11 +316,11 @@ _MAX_SPLIT_DEPTH = 40
 
 def _blowup(P, a, b):
     """1 + 2 U / a^2: q_a(D) <= |D^2| blowup for D vanishing on [a, b]."""
-    asq = _norm(P, a)
+    asq = P.pic.norm(a)
     diff = tuple(x - y for x, y in zip(a, b))
     # min of gamma(t)^2 = At^2 + Bt + C on [0, 1]
-    A = _norm(P, diff)
-    B = 2 * (_pair(P, a, b) - asq)
+    A = P.pic.norm(diff)
+    B = 2 * (P.pic.inner(a, b) - asq)
     m = min(asq, A + B + asq)
     if A > 0:
         tstar = Fraction(-B, 2 * A)
@@ -336,7 +328,7 @@ def _blowup(P, a, b):
             m = min(m, asq - Fraction(B * B, 4 * A))
     if m <= 0:
         raise InternalError("segment leaves the positive cone")
-    pmax = max(abs(_pair(P, diff, a)), abs(_pair(P, diff, b)))
+    pmax = max(abs(P.pic.inner(diff, a)), abs(P.pic.inner(diff, b)))
     return 1 + 2 * (-A + 2 * pmax * pmax / m) / asq
 
 
@@ -602,7 +594,7 @@ def _box_candidates(P: PicardData, omega, lookup, bound, budget):
         roots = {t: s for s in lookup for t in _last_coordinates(gram[-1][-1], b, q - s, bound)}
         for t in sorted(roots):
             x = (*head, t)
-            if not any(x) or gcd(*x) != 1:
+            if gcd(*x) != 1:
                 continue
             wt = lookup[roots[t]].get(P.div_of(x))
             if wt is None:
@@ -819,8 +811,8 @@ def supporting_walls_report(
         raise InputError("reference class must have positive square")
     types = list(types)
     lookup = _type_lookup(types)
-    if search_bound < 1:
-        raise InputError("search bound must be positive")
+    if isinstance(search_bound, bool) or not isinstance(search_bound, int) or search_bound < 1:
+        raise InputError(f"search bound must be a positive integer, got {search_bound!r}")
     budget = CellBudget(max_cells)
     if not types or P.pic.rank == 1:
         return SupportResult(walls=(), exact=True, search_bound=search_bound)

@@ -2,11 +2,11 @@
 
 Fincke-Pohst in integers.  A Fraction-valued Cholesky-style decomposition
 checks definiteness; its rows are then brought to one common denominator,
-so the walk adds, multiplies and compares integers only.  The walk is
-one lazy generator loop over explicit per-level state, not a chain of
-nested generators.  `short_vectors` walks one of each pair x, -x (a
-sign-symmetric walk that charges the same cells as the full one), solves
-the last coordinate of each point of the shell exactly instead of
+so the walk adds, multiplies and compares integers only.  There is one
+walk, `_fp_points`: a lazy generator loop over explicit per-level state,
+not a chain of nested generators, that yields one of each pair x, -x (and
+charges the cells of a walk over both signs).  `short_vectors` has it
+solve the last coordinate of each point of the shell exactly instead of
 scanning its bracket, and returns the walk's own tuples with their
 negatives, wrapped without re-checking.  Every bound is tested in exact
 arithmetic, so the enumeration is provably complete (no floating-point
@@ -27,7 +27,6 @@ from .lattice import IntegerLattice, LatticeVector, _trusted_vectors
 
 __all__ = [
     "short_vectors",
-    "enumerate_quadratic_leq",
     "CellBudget",
     "DEFAULT_MAX_CELLS",
 ]
@@ -92,10 +91,10 @@ def _fp_points(
     q: list[list[Fraction]],
     bound: Fraction,
     budget: CellBudget,
-    half: bool = False,
     exact: bool = False,
 ) -> Iterator[tuple[int, ...]]:
-    """Yield every nonzero integer x with Q(x) <= bound, as a tuple.
+    """Yield one of each pair x, -x of the nonzero integer x with
+    Q(x) <= bound, the one whose last nonzero coordinate is positive.
 
     `q` is the `_fp_decompose` of Q and bound >= 0.  The walk runs on
     integers.  Let e_i be the denominator of row i of q and M the least
@@ -110,20 +109,17 @@ def _fp_points(
     centre, last k, spine flag), depth first from level n - 1 down, so the
     generator stays lazy without a frame per level.
 
-    Two switches, independent of each other:
+    On the spine, where every coordinate above the level is 0, the centre
+    is 0 and the bracket symmetric, so the level tries k >= 0 only (k >= 1
+    at level 0, as k = 0 there is the zero vector).  A level entered off
+    the spine is charged twice, for itself and for its mirror under
+    x -> -x, whose bracket has the same size.  The cells charged are thus
+    those of a walk over both signs, and the points come in its order.
 
-    * `half` yields one of each pair x, -x: the one whose last nonzero
-      coordinate is positive, in the full walk's order.  On the spine,
-      where every coordinate above the level is 0, the centre is 0 and the
-      bracket symmetric, so the level tries k >= 0 only (k >= 1 at level
-      0, as k = 0 there is the zero vector); a level entered off the spine
-      is charged twice, for itself and for its mirror under x -> -x, whose
-      bracket has the same size.  The cells charged are then those of the
-      full walk.
-    * `exact` yields only the points with Q(x) == bound, and level 0 is
-      solved, not scanned: w_0 t^2 = R needs R / w_0 to be a square s^2,
-      and t = +-s gives x_0 = (t - C) / e_0 when e_0 divides t - C (t = s
-      only on the spine of a half walk).  The cells charged are unchanged.
+    `exact` yields only the points with Q(x) == bound, and level 0 is
+    solved, not scanned: w_0 t^2 = R needs R / w_0 to be a square s^2, and
+    t = +-s (t = s only on the spine) gives x_0 = (t - C) / e_0 when e_0
+    divides t - C.  The cells charged are unchanged.
     """
     n = len(q)
     e = [math.lcm(*(q[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
@@ -143,10 +139,10 @@ def _fp_points(
             for j, aij in terms[i]:
                 c += aij * x[j]
         cells = 2 * isqrt(rem // box[i]) + 1 + (c % ei != 0)
-        spend(2 * cells if half and not spine else cells)
+        spend(cells if spine else 2 * cells)
         s = isqrt(rem // wi)
         if i:
-            lo = 0 if half and spine else -((s + c) // ei)
+            lo = 0 if spine else -((s + c) // ei)
             hi = (s - c) // ei
             if lo <= hi:
                 rems[i], cens[i], tops[i], spines[i] = rem, c, hi, spine
@@ -159,17 +155,16 @@ def _fp_points(
         elif exact:
             if wi * s * s == rem:
                 # the roots t of w_0 t^2 = R, ascending in k
-                for t in (s,) if half and spine else (-s, s) if s else (0,):
+                for t in (s,) if spine else (-s, s) if s else (0,):
                     k, r = divmod(t - c, ei)
                     if not r and (k or not spine):
                         x[0] = k
                         yield tuple(x)
                 x[0] = 0
         else:
-            for k in range(1 if half and spine else -((s + c) // ei), (s - c) // ei + 1):
-                if k or not spine:
-                    x[0] = k
-                    yield tuple(x)
+            for k in range(1 if spine else -((s + c) // ei), (s - c) // ei + 1):
+                x[0] = k
+                yield tuple(x)
             x[0] = 0
         # back up to the lowest level that has a k left to try
         i += 1
@@ -186,30 +181,6 @@ def _fp_points(
             i += 1
         else:
             return
-
-
-def enumerate_quadratic_leq(
-    gram: Sequence[Sequence],
-    bound,
-    budget: CellBudget | None = None,
-) -> Iterator[tuple[int, ...]]:
-    """Yield every nonzero integer x with Q(x) <= bound, Q given by `gram`.
-
-    `gram` must be symmetric positive definite (int or Fraction entries).
-    Both x and -x are emitted.  Order is deterministic: coordinates are
-    chosen ascending from the last index down to the first.
-    """
-    bound = Fraction(bound)
-    n = len(gram)
-    if n == 0 or bound < 0:
-        return
-    try:
-        q = _fp_decompose(gram)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    if budget is None:
-        budget = CellBudget()
-    yield from _fp_points(q, bound, budget)
 
 
 def _definite_decompose(lattice: IntegerLattice) -> tuple[int, list[list[Fraction]]]:
@@ -237,8 +208,12 @@ def short_vectors(
     give [] without enumerating).  The result contains v iff it contains
     -v: the walk visits one of each pair and keeps both.
     """
-    if Fraction(target_norm).denominator != 1:
-        raise InputError(f"target norm must be an integer, got {target_norm}")
+    if (
+        isinstance(target_norm, bool)
+        or not isinstance(target_norm, (int, Fraction))
+        or target_norm.denominator != 1
+    ):
+        raise InputError(f"target norm must be an integer, got {target_norm!r}")
     if lattice.rank == 0:
         return []
     sign, q = _definite_decompose(lattice)
@@ -252,7 +227,7 @@ def short_vectors(
     budget = CellBudget(max_cells)
     if target_norm % 2:
         return []
-    hits = list(_fp_points(q, Fraction(abs(target_norm)), budget, half=True, exact=True))
+    hits = list(_fp_points(q, Fraction(abs(target_norm)), budget, exact=True))
     hits.sort()
     # negation reverses the order: two sorted runs for sort() to merge
     hits += [tuple(map(neg, x)) for x in reversed(hits)]

@@ -40,7 +40,7 @@ from wallkit import (
 import wallkit._linalg as la
 from wallkit import chambers
 from wallkit.chambers import MAX_PICARD_RANK
-from wallkit.shortvec import CellBudget, enumerate_quadratic_leq
+from wallkit.shortvec import CellBudget
 from wallkit.formats import parse_chamber_query
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -519,7 +519,7 @@ def on_wall_by_majorant_ball(P, omega, lookup):
     om = chambers._primitive_int(omega)
     return {
         unsigned(x)
-        for x in enumerate_quadratic_leq(gram, max(map(abs, lookup)))
+        for x in chambers._ball(gram, max(map(abs, lookup)), CellBudget())
         if P.pic.inner(x, om) == 0
         and gcd(*x) == 1
         and match_type(P, x, lookup) is not None
@@ -1104,6 +1104,14 @@ class TestRank3Chamber:
         P = rank3_data()
         with pytest.raises(InputError):
             supporting_walls_report(P, (5, 3, 1), enumerate_wall_types(P.ctx), search_bound=0)
+
+    @pytest.mark.parametrize("bound", [2.5, 2.0, "2", True])
+    def test_non_integer_search_bound_rejected(self, bound):
+        # the floats and the string raised a bare TypeError, and True was
+        # read as 1 and echoed back as search_bound=True
+        P = rank3_data()
+        with pytest.raises(InputError, match="search bound must be a positive integer"):
+            supporting_walls_report(P, (5, 3, 1), enumerate_wall_types(P.ctx), search_bound=bound)
 
     @pytest.mark.parametrize("bad", BAD_COORDINATES)
     def test_non_exact_omega_rejected(self, bad):

@@ -17,7 +17,6 @@ from wallkit import (
     EnumerationBudgetExceeded,
     InputError,
     IntegerLattice,
-    enumerate_quadratic_leq,
     short_vectors,
     standard_lattice,
 )
@@ -150,25 +149,38 @@ class TestContracts:
         with pytest.raises(InputError, match="must be an integer"):
             short_vectors(standard_lattice("E8(-1)"), target)
 
+    @pytest.mark.parametrize("target", [-2.0, True, "-2"])
+    def test_non_integer_target_type_rejected(self, target):
+        # -2.0 returned the 240 roots, True was read as 1 ("wrong sign") and
+        # "-2" crashed with TypeError
+        with pytest.raises(InputError, match="must be an integer"):
+            short_vectors(standard_lattice("E8(-1)"), target)
+
+    def test_integral_fraction_target_accepted(self):
+        e8 = standard_lattice("E8(-1)")
+        assert short_vectors(e8, Fraction(-2)) == short_vectors(e8, -2)
+
     def test_enumeration_is_lazy(self):
         # the first point of a large ball costs a few cells: the walk is not
         # run to the end (or collected into a list) before it yields
         gram = tuple(tuple(-g for g in row) for row in standard_lattice("E8(-1)").gram)
         budget = CellBudget(max_cells=10**6)
-        points = enumerate_quadratic_leq(gram, 8, budget)
+        points = shortvec._fp_points(shortvec._fp_decompose(gram), Fraction(8), budget)
         next(points)
         first = budget.used
-        assert 1 + sum(1 for _ in points) == 26640
+        assert 1 + sum(1 for _ in points) == 13320
         assert budget.used == 55420
+        assert first == 52
         assert first * 1000 < budget.used
 
     def test_generator_budget_object(self):
-        # enumerate_quadratic_leq works on the positive-definite side
+        # the walk works on the positive-definite side, one of each sign
         gram = ((2, -1), (-1, 2))
         budget = CellBudget(max_cells=10**6)
-        got = {tuple(x) for x in enumerate_quadratic_leq(gram, 2, budget)}
-        neg = tuple(tuple(-c for c in row) for row in gram)
-        assert got == brute_force(neg, -2)
+        got = list(shortvec._fp_points(shortvec._fp_decompose(gram), Fraction(2), budget))
+        want = brute_force(tuple(tuple(-c for c in row) for row in gram), -2)
+        assert both_signs(got) == want
+        assert 2 * len(got) == len(want)
         assert budget.used > 0
 
 
@@ -192,17 +204,37 @@ def box_radii(gram, bound):
     return out
 
 
+def one_of_each_sign(points):
+    """The points whose last nonzero coordinate is positive, in order."""
+    return [tuple(x) for x in points if next(c for c in reversed(x) if c) > 0]
+
+
+def both_signs(points):
+    """The set of the points and their negatives."""
+    return {tuple(x) for x in points} | {tuple(-c for c in x) for x in points}
+
+
+def walk(case, exact=False):
+    """(points, cells, gram, bound) of `_fp_points` on a recorded case, with
+    the case's Gram and bound as Fractions."""
+    gram = [[Fraction(v) for v in row] for row in case["gram"]]
+    bound = Fraction(case["bound"])
+    budget = CellBudget(max_cells=10**7)
+    points = list(shortvec._fp_points(shortvec._fp_decompose(gram), bound, budget, exact=exact))
+    return points, budget.used, gram, bound
+
+
 class TestRandomRationalForms:
+    # enumerate_random.json records the ball over both signs, in walk order,
+    # and its cells; the walk yields the recorded points with a positive
+    # last nonzero coordinate, in order, for the recorded cells
     @pytest.mark.parametrize(
         "case", ENUMERATE_RANDOM, ids=[f"f{i}" for i in range(len(ENUMERATE_RANDOM))]
     )
     def test_matches_recorded_and_brute_force(self, case):
-        gram = [[Fraction(v) for v in row] for row in case["gram"]]
-        bound = Fraction(case["bound"])
-        budget = CellBudget(max_cells=10**7)
-        got = [list(x) for x in enumerate_quadratic_leq(gram, bound, budget)]
-        assert got == case["points"]
-        assert budget.used == case["used"]
+        got, used, gram, bound = walk(case)
+        assert got == one_of_each_sign(case["points"])
+        assert used == case["used"]
         # Q over one common denominator, so equality with the bound is exact
         den = math.lcm(bound.denominator, *(v.denominator for row in gram for v in row))
         g = [[int(v * den) for v in row] for row in gram]
@@ -222,72 +254,51 @@ class TestRandomRationalForms:
             for x in itertools.product(*(range(-r, r + 1) for r in radii))
             if any(x) and q(x) <= top
         }
-        assert {tuple(x) for x in got} == box
-        assert {x for x in box if q(x) == top} == {tuple(x) for x in on_bound}
+        assert both_signs(got) == box
+        assert 2 * len(got) == len(box)
+        assert {x for x in box if q(x) == top} == both_signs(on_bound)
 
     @pytest.mark.parametrize(
         "case", ENUMERATE_RANDOM, ids=[f"f{i}" for i in range(len(ENUMERATE_RANDOM))]
     )
     def test_half_walk_is_one_of_each_sign(self, case):
-        # the half walk solves the last level exactly: it yields the full
-        # walk's points on the bound with a positive last nonzero
-        # coordinate, in the full walk's order, and charges the full walk's
-        # cells
-        gram = [[Fraction(v) for v in row] for row in case["gram"]]
-        q = shortvec._fp_decompose(gram)
-        bound = Fraction(case["bound"])
-        full, half = CellBudget(max_cells=10**7), CellBudget(max_cells=10**7)
-        on_bound = [
-            x for x in shortvec._fp_points(q, bound, full) if la.vec_mat_vec(x, gram, x) == bound
-        ]
-        kept = list(shortvec._fp_points(q, bound, half, half=True, exact=True))
-        assert half.used == full.used == case["used"]
-        assert kept == [x for x in on_bound if next(c for c in reversed(x) if c) > 0]
-        assert set(kept) | {tuple(-c for c in x) for x in kept} == set(on_bound)
-        assert 2 * len(kept) == len(on_bound)
+        # the exact walk solves the last level: it yields the recorded
+        # points on the bound with a positive last nonzero coordinate, in
+        # recorded order, and charges the recorded cells
+        kept, used, gram, bound = walk(case, exact=True)
+        shell = [x for x in case["points"] if la.vec_mat_vec(x, gram, x) == bound]
+        assert used == case["used"]
+        assert kept == one_of_each_sign(shell)
 
     @pytest.mark.parametrize(
         "case", ENUMERATE_RANDOM, ids=[f"f{i}" for i in range(len(ENUMERATE_RANDOM))]
     )
     def test_half_ball_is_one_of_each_sign(self, case):
-        # the half walk up to the bound yields the full walk's points with a
-        # positive last nonzero coordinate, in order, and charges the full
-        # walk's cells
-        q = shortvec._fp_decompose([[Fraction(v) for v in row] for row in case["gram"]])
-        bound = Fraction(case["bound"])
-        full, half = CellBudget(max_cells=10**7), CellBudget(max_cells=10**7)
-        ball = list(shortvec._fp_points(q, bound, full))
-        kept = list(shortvec._fp_points(q, bound, half, half=True))
-        assert half.used == full.used == case["used"]
-        assert kept == [x for x in ball if next(c for c in reversed(x) if c) > 0]
-        assert set(kept) | {tuple(-c for c in x) for x in kept} == set(ball)
-        assert 2 * len(kept) == len(ball)
+        # the walk up to the bound yields one of each pair of recorded
+        # points, and with its negatives the whole recorded ball
+        kept, used, _, _ = walk(case)
+        assert used == case["used"]
+        assert kept == one_of_each_sign(case["points"])
+        assert both_signs(kept) == {tuple(x) for x in case["points"]}
+        assert 2 * len(kept) == len(case["points"])
 
     @pytest.mark.parametrize(
         "case", ENUMERATE_RANDOM, ids=[f"f{i}" for i in range(len(ENUMERATE_RANDOM))]
     )
     def test_exact_walk_is_the_shell(self, case):
-        # without `half`, the solved last level yields both signs: the full
-        # walk's points on the bound, in order, for the same cells
-        gram = [[Fraction(v) for v in row] for row in case["gram"]]
-        q = shortvec._fp_decompose(gram)
-        bound = Fraction(case["bound"])
-        full, exact = CellBudget(max_cells=10**7), CellBudget(max_cells=10**7)
-        shell = [
-            x for x in shortvec._fp_points(q, bound, full) if la.vec_mat_vec(x, gram, x) == bound
-        ]
-        assert list(shortvec._fp_points(q, bound, exact, exact=True)) == shell
-        assert exact.used == full.used == case["used"]
+        # the exact walk with its negatives is the recorded shell, for the
+        # cells of the walk up to the bound
+        kept, used, gram, bound = walk(case, exact=True)
+        shell = {tuple(x) for x in case["points"] if la.vec_mat_vec(x, gram, x) == bound}
+        assert both_signs(kept) == shell
+        assert 2 * len(kept) == len(shell)
+        assert used == case["used"]
 
     def test_bound_values_are_emitted(self):
         # odd cases take the value of a nonzero integer point as the bound
         for case in ENUMERATE_RANDOM[1::2]:
-            gram = [[Fraction(v) for v in row] for row in case["gram"]]
-            bound = Fraction(case["bound"])
-            assert any(
-                la.vec_mat_vec(x, gram, x) == bound
-                for x in enumerate_quadratic_leq(gram, bound)
-            )
+            points, _, gram, bound = walk(case)
+            assert any(la.vec_mat_vec(x, gram, x) == bound for x in points)
 
 
 # --------------------------------------- recorded short_vectors outputs and cells
