@@ -21,7 +21,7 @@ from . import walls as wl
 from .errors import InputError, OnWallError
 from .formats import frac_str, parse_chamber_query, parse_frac
 from .lattice import divisibility
-from .walls import make_context
+from .walls import WallType, make_context
 
 FIXTURE_ORDER = (
     "delta",
@@ -134,6 +134,17 @@ def _wall_key(w: cg.Wall):
     return (tuple(w.D.coords), w.wall_type.square, w.wall_type.div)
 
 
+def _witness_checks(rec, suffix, ctx, D, condition, pairing=None):
+    """Record the wall test of D: its condition, its pairing data when
+    `pairing` is given, and the witness's own recheck.  Returns the witness."""
+    wit = wl.wall_test(ctx, D)
+    rec.add(f"condition{suffix}", condition, wit.condition.value if wit else None)
+    if pairing is not None:
+        rec.add(f"pairing{suffix}", tuple(pairing), wit.pairing_data if wit else None)
+    rec.true(f"witness-recheck{suffix}", wit is not None and wit.check())
+    return wit
+
+
 # ----------------------------------------------------------------- checkers
 
 
@@ -146,10 +157,7 @@ def _check_delta(fx: dict, rec: _Recorder, seed: int) -> None:
         dv = divisibility(ctx.ambient, d.coords)
         rec.add(f"square[{tag}]", case["square"], d.norm())
         rec.add(f"div[{tag}]", case["div"], dv)
-        wit = wl.wall_test(ctx, d)
-        rec.add(f"condition[{tag}]", case["condition"], wit.condition.value if wit else None)
-        rec.add(f"pairing[{tag}]", tuple(case["pairing"]), wit.pairing_data if wit else None)
-        rec.true(f"witness-recheck[{tag}]", wit is not None and wit.check())
+        _witness_checks(rec, f"[{tag}]", ctx, d, case["condition"], case["pairing"])
         q = ctx.disc.q(ctx.disc.class_of(d.coords, dv))
         rec.add(f"disc-form-value[{tag}]", parse_frac(case["disc_q"]), q)
 
@@ -176,12 +184,10 @@ def _check_minus_two_curve(fx: dict, rec: _Recorder, seed: int) -> None:
         D = _basis_coords(ctx.ambient.rank, {0: 1, 1: -1})
         rec.add(f"square[{tag}]", -2, ctx.ambient.norm(D))
         rec.add(f"div[{tag}]", 1, divisibility(ctx.ambient, D))
-        wit = wl.wall_test(ctx, D)
-        rec.add(f"condition[{tag}]", fx["condition"], wit.condition.value if wit else None)
-        rec.true(f"witness-recheck[{tag}]", wit is not None and wit.check())
+        _witness_checks(rec, f"[{tag}]", ctx, D, fx["condition"])
         rec.add(f"dual-ray-is-self[{tag}]", tuple(Fraction(c) for c in D), wl.dual_ray(ctx, D))
         types = wl.enumerate_wall_types(ctx)
-        rec.true(f"type-in-table[{tag}]", any(t.square == -2 and t.div == 1 for t in types))
+        rec.true(f"type-in-table[{tag}]", WallType(-2, 1) in types)
         inv = wl.eichler_invariants(ctx.ambient, D)
         rec.add(f"disc-class-trivial[{tag}]", tuple(0 for _ in inv.disc), inv.disc)
         other = _basis_coords(ctx.ambient.rank, {2: 1, 3: -1})
@@ -235,14 +241,8 @@ def _check_p2(fx: dict, rec: _Recorder, seed: int) -> None:
     rec.add("square", fx["square"], P.pic.norm(D))
     img = P.embed.apply(D)
     rec.add("div-in-ambient", fx["div"], divisibility(ctx.ambient, img.coords))
-    wit = wl.wall_test(ctx, img)
-    rec.add("condition", fx["condition"], wit.condition.value if wit else None)
-    rec.add("pairing", tuple(fx["pairing"]), wit.pairing_data if wit else None)
-    rec.true("witness-recheck", wit is not None and wit.check())
-    rec.true(
-        "type-in-table",
-        any(t.square == fx["square"] and t.div == fx["div"] for t in wl.enumerate_wall_types(ctx)),
-    )
+    _witness_checks(rec, "", ctx, img, fx["condition"], fx["pairing"])
+    rec.true("type-in-table", WallType(fx["square"], fx["div"]) in wl.enumerate_wall_types(ctx))
 
     # Dual-ray bookkeeping: (2H-3d)/2 = H - (3/2) d = H - 3 (d/2), and d/2
     # is the dual ray of d itself, so the half factor is consistent.
@@ -311,14 +311,8 @@ def _check_pn(fx: dict, rec: _Recorder, seed: int) -> None:
         rec.add(f"ray-square[{tag}]", -Fraction(n + 3, 2), ray_sq)
         rec.true(f"ray-meets-dual-bound[{tag}]", wl.ht_bound_ok(n, ray_sq))
         rec.add(f"bound-is-sharp[{tag}]", False, wl.ht_bound_ok(n, ray_sq - Fraction(1, 1000)))
-        wit = wl.wall_test(ctx, D)
-        rec.add(f"condition[{tag}]", fx["condition"], wit.condition.value if wit else None)
-        rec.add(f"pairing[{tag}]", (-2, n - 1), wit.pairing_data if wit else None)
-        rec.true(f"witness-recheck[{tag}]", wit is not None and wit.check())
-        rec.true(
-            f"type-in-table[{tag}]",
-            any(t.square == sq and t.div == dv for t in wl.enumerate_wall_types(ctx)),
-        )
+        _witness_checks(rec, f"[{tag}]", ctx, D, fx["condition"], (-2, n - 1))
+        rec.true(f"type-in-table[{tag}]", WallType(sq, dv) in wl.enumerate_wall_types(ctx))
 
 
 def _check_pn1_bundle(fx: dict, rec: _Recorder, seed: int) -> None:
@@ -330,19 +324,15 @@ def _check_pn1_bundle(fx: dict, rec: _Recorder, seed: int) -> None:
         rec.true(f"type-exists[{tag}]", exists and witness_class is not None)
         rec.add(f"witness-square[{tag}]", sq, witness_class.norm())
         rec.add(f"witness-div[{tag}]", dv, divisibility(ctx.ambient, witness_class.coords))
-        wit = wl.wall_test(ctx, witness_class)
-        rec.add(f"condition[{tag}]", case["condition"], wit.condition.value if wit else None)
-        rec.add(f"pairing[{tag}]", tuple(case["pairing"]), wit.pairing_data if wit else None)
-        rec.true(f"witness-recheck[{tag}]", wit is not None and wit.check())
+        wit = _witness_checks(
+            rec, f"[{tag}]", ctx, witness_class, case["condition"], case["pairing"]
+        )
         if wit is not None and wit.condition is wl.WallCondition.BM_BOUNDED_ROOT:
             (w,) = wit.vectors
             v = wit.against
             rec.add(f"root-square[{tag}]", -2, w.norm())
             rec.true(f"pairing-strictly-interior[{tag}]", 0 < w.inner(v) < Fraction(v.norm(), 2))
-        rec.true(
-            f"type-in-table[{tag}]",
-            any(t.square == sq and t.div == dv for t in wl.enumerate_wall_types(ctx)),
-        )
+        rec.true(f"type-in-table[{tag}]", WallType(sq, dv) in wl.enumerate_wall_types(ctx))
 
 
 def _check_n4_div2(fx: dict, rec: _Recorder, seed: int) -> None:
@@ -351,10 +341,7 @@ def _check_n4_div2(fx: dict, rec: _Recorder, seed: int) -> None:
     rec.add("mukai-square", 2 * n - 2, ctx.v.norm())
     exists, witness_class = wl.wall_type_exists(ctx, sq, dv)
     rec.true("type-exists", exists and witness_class is not None)
-    wit = wl.wall_test(ctx, witness_class)
-    rec.add("condition", fx["condition"], wit.condition.value if wit else None)
-    rec.add("pairing", tuple(fx["pairing"]), wit.pairing_data if wit else None)
-    rec.true("witness-recheck", wit is not None and wit.check())
+    wit = _witness_checks(rec, "", ctx, witness_class, fx["condition"], fx["pairing"])
     if wit is not None and wit.condition is wl.WallCondition.BM_SUM:
         w, t = wit.vectors
         v = wit.against
@@ -362,10 +349,7 @@ def _check_n4_div2(fx: dict, rec: _Recorder, seed: int) -> None:
             rec.true(f"{label}-part-nonnegative-square", part.norm() >= 0)
             rec.true(f"{label}-part-positive-pairing", part.inner(v) > 0)
         rec.add("parts-sum-to-distinguished-class", tuple(v.coords), tuple(a + b for a, b in zip(w.coords, t.coords)))
-    rec.true(
-        "type-in-table",
-        any(t.square == sq and t.div == dv for t in wl.enumerate_wall_types(ctx)),
-    )
+    rec.true("type-in-table", WallType(sq, dv) in wl.enumerate_wall_types(ctx))
 
 
 def _check_bm2_nef(fx: dict, rec: _Recorder, seed: int) -> None:
@@ -399,15 +383,8 @@ def _check_bm2_nef(fx: dict, rec: _Recorder, seed: int) -> None:
     ray_sq = Fraction(sq, dv * dv)
     rec.add("stray-ray-at-dual-bound", -Fraction(n + 3, 2), ray_sq)
     rec.true("stray-ray-passes-dual-bound", wl.ht_bound_ok(n, ray_sq))
-    rec.true(
-        "stray-type-is-candidate",
-        any(t.square == sq and t.div == dv for t in candidates),
-    )
-    rec.add(
-        "stray-type-certified",
-        False,
-        any(t.square == sq and t.div == dv for t in certified),
-    )
+    rec.true("stray-type-is-candidate", WallType(sq, dv) in candidates)
+    rec.add("stray-type-certified", False, WallType(sq, dv) in certified)
     exists, witness_class = wl.wall_type_exists(ctx, sq, dv)
     rec.true("stray-class-exists-in-lattice", exists)
     rec.add("stray-class-wall-test", None, wl.wall_test(ctx, witness_class))
@@ -415,7 +392,7 @@ def _check_bm2_nef(fx: dict, rec: _Recorder, seed: int) -> None:
     rec.add(
         "stray-type-among-supporting",
         False,
-        any(w.wall_type.square == sq and w.wall_type.div == dv for w in rep.walls),
+        WallType(sq, dv) in {w.wall_type for w in rep.walls},
     )
     rec.add("stray-ray-in-dual-cone", False, cg.in_dual_cone(P, rep.walls, Rp))
     rays = cg.extremal_rays(rep)

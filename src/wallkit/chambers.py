@@ -16,13 +16,13 @@ All questions are reduced to exact finite enumerations:
   enumeration of the reduced, negative definite omega-perp), then gathers typed
   candidate classes, which differ by rank.  In rank 2 they are complete:
   when the Picard form splits off a hyperbolic plane over Q, from divisor
-  pairs with no height cap at all; otherwise the classes of the height
-  box give an angular bracket, and the identity
-  q_w(D) = |D^2| (2 mu(D) - 1), where mu(D) is the normalized angle
-  between w and the positive ray of D-perp, turns "angularly closer than
-  the bracket" into another complete q_w enumeration.  In rank >= 3 they
-  are the typed classes of the height box, and the report is inexact: a
-  wall outside the box can cut a facet off.
+  pairs with no height cap at all; otherwise the box classes bracket w on
+  each side by r(D) = q_w(D) / |D^2| = 2 mu(D) - 1, where mu(D) is the
+  normalized angle between w and the positive ray of D-perp, so "angularly
+  closer than the bracket" is another complete q_w enumeration.  In rank
+  >= 3 they are the typed classes of the height box, and the report is
+  inexact: a wall outside the box can cut a facet off.  Every candidate is
+  typed by `_wall_type` and turned toward omega by `_toward`.
 * One facet step, shared by every rank, turns candidates into walls: the
   facets of the cone K they cut out that meet omega's component of the
   positive cone.  One integer double description of K gives its rays;
@@ -213,9 +213,9 @@ def _pairing_row(P: PicardData, c) -> tuple[int, ...]:
     return _primitive_int(la.mat_vec(P.pic.gram, c))
 
 
-def _toward(P: PicardData, x, omega) -> tuple:
-    """x or -x, whichever pairs nonnegatively with omega."""
-    return tuple(-c for c in x) if P.pic.inner(x, omega) < 0 else tuple(x)
+def _toward(side, x) -> tuple:
+    """x or -x, whichever pairs nonnegatively with c, for the row side = G c."""
+    return tuple(-c for c in x) if _dot(side, x) < 0 else tuple(x)
 
 
 def _type_lookup(types) -> dict[int, dict[int, WallType]]:
@@ -223,6 +223,15 @@ def _type_lookup(types) -> dict[int, dict[int, WallType]]:
     for t in types:
         out.setdefault(t.square, {})[t.div] = t
     return out
+
+
+def _wall_type(P: PicardData, lookup, x, square) -> WallType | None:
+    """The listed type of the integral class x of the given square: None
+    unless x is primitive and (square, div x) is listed."""
+    by_div = lookup.get(square)
+    if by_div is None or gcd(*x) != 1:
+        return None
+    return by_div.get(P.div_of(x))
 
 
 def _majorant_gram(P: PicardData, a: tuple[Fraction, ...]):
@@ -303,11 +312,7 @@ def walls_between(P: PicardData, alpha, beta, types, max_cells=None) -> list[Wal
     ga, gb = _pairing_row(P, a), _pairing_row(P, b)
     pool: dict[tuple[int, ...], WallType] = {}
     _segment_candidates(P, a, b, _blowup(P, a, b), max_abs_square, lookup, budget, pool, 0)
-    hits = []
-    for x, t in pool.items():
-        sa = _dot(ga, x)
-        if sa * _dot(gb, x) < 0:
-            hits.append((x if sa > 0 else tuple(-c for c in x), t))
+    hits = [(_toward(ga, x), t) for x, t in pool.items() if _dot(ga, x) * _dot(gb, x) < 0]
     return [Wall(D=P.pic.vector(x), wall_type=t) for x, t in sorted(hits)]
 
 
@@ -354,16 +359,15 @@ def _segment_candidates(P, a, b, blowup, max_abs_square, lookup, budget, pool, d
     ga, gb = _pairing_row(P, a), _pairing_row(P, b)
     terms = P._square_terms
     for x in _ball(gram, max_abs_square * blowup, budget):
-        if x in pool or gcd(*x) != 1:
+        if x in pool:
             continue
         # the integer square first: most points have no wall type's square
         s = 0
         for i, j, c in terms:
             s += c * x[i] * x[j]
-        by_div = lookup.get(s)
-        if not by_div or _dot(ga, x) * _dot(gb, x) > 0:
+        if s not in lookup or _dot(ga, x) * _dot(gb, x) > 0:
             continue
-        t = by_div.get(P.div_of(x))
+        t = _wall_type(P, lookup, x, s)
         if t is None:
             continue
         qa = la.vec_mat_vec(x, gram, x)
@@ -557,9 +561,7 @@ def _check_on_wall(P: PicardData, omega, lookup, budget: CellBudget):
     )
     for minus_s, w in hits:
         cand = comp.apply(w)
-        if not cand.is_primitive():
-            continue
-        t = lookup[-minus_s].get(P.div_of(cand.coords))
+        t = _wall_type(P, lookup, cand.coords, -minus_s)
         if t is None:
             continue
         raise OnWallError(
@@ -594,24 +596,18 @@ def _box_candidates(P: PicardData, omega, lookup, bound, budget):
         roots = {t: s for s in lookup for t in _last_coordinates(gram[-1][-1], b, q - s, bound)}
         for t in sorted(roots):
             x = (*head, t)
-            if gcd(*x) != 1:
-                continue
-            wt = lookup[roots[t]].get(P.div_of(x))
-            if wt is None:
-                continue
-            if _dot(side, x) < 0:
-                x = tuple(-c for c in x)
-            out[x] = wt
+            wt = _wall_type(P, lookup, x, roots[t])
+            if wt is not None:
+                out[_toward(side, x)] = wt
     return out
 
 
-def _split_isotropic(P: PicardData, omega):
+def _split_isotropic(P: PicardData, side):
     """Primitive isotropic classes (u+, u-) of a rank-2 Picard form that
-    splits over Q, both oriented toward omega; None if it does not split."""
+    splits over Q, both oriented toward omega; None if its discriminant
+    b^2 - ac, positive in signature (1, 1), is not a square."""
     (a, b), (_, c) = P.pic.gram
     disc = b * b - a * c
-    if disc <= 0:
-        return None
     r = isqrt(disc)
     if r * r != disc:
         return None
@@ -619,9 +615,9 @@ def _split_isotropic(P: PicardData, omega):
         dirs = [(1, 0), _primitive((-c, 2 * b))]
     else:
         dirs = [_primitive((-b + r, a)), _primitive((-b - r, a))]
-    if any(P.pic.inner(u, omega) == 0 for u in dirs):
+    if any(_dot(side, u) == 0 for u in dirs):
         raise InternalError("isotropic class orthogonal to omega")
-    up, um = (_toward(P, u, omega) for u in dirs)
+    up, um = (_toward(side, u) for u in dirs)
     e = P.pic.inner(up, um)
     if e <= 0:
         raise InternalError("isotropic pairing must be positive")
@@ -640,7 +636,7 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _split_candidates(P: PicardData, omega, lookup, split):
+def _split_candidates(P: PicardData, side, lookup, split):
     """Complete wall-class enumeration for split rank-2 forms.
 
     Writing x via its pairings p = (x, u+), q = (x, u-) gives
@@ -649,7 +645,7 @@ def _split_candidates(P: PicardData, omega, lookup, split):
     """
     up, um, e = split
     out = {}
-    for s, by_div in lookup.items():
+    for s in lookup:
         num = s * e
         if num % 2:
             continue
@@ -660,49 +656,37 @@ def _split_candidates(P: PicardData, omega, lookup, split):
                 if any(c % e for c in coords):
                     continue
                 x = tuple(c // e for c in coords)
-                if gcd(*x) != 1:
-                    continue
-                t = by_div.get(P.div_of(x))
-                if t is None:
-                    continue
-                out[_toward(P, x, omega)] = t
+                t = _wall_type(P, lookup, x, s)
+                if t is not None:
+                    out[_toward(side, x)] = t
     return out
-
-
-def _perp_ray_rank2(P: PicardData, coords, omega):
-    """Primitive generator of D-perp in a rank-2 pic, oriented to omega."""
-    g = la.mat_vec(P.pic.gram, coords)
-    return _toward(P, _primitive((-g[1], g[0])), omega)
 
 
 def _support_rank2(P, omega, lookup, bound, budget):
     """Rank-2 candidates oriented toward omega, and whether they hold every
     wall of omega's chamber."""
-    split = _split_isotropic(P, omega)
+    side = la.mat_vec(P.pic.gram, omega)
+    split = _split_isotropic(P, side)
     if split is not None:
-        return _split_candidates(P, omega, lookup, split), True
+        return _split_candidates(P, side, lookup, split), True
     cands = _box_candidates(P, omega, lookup, bound, budget)
     if not cands:
         return cands, False
-    # bracket per side, then close the search exactly: any wall angularly
-    # closer than the bracket satisfies q_omega(D) = |D^2| (2 mu - 1) <= cap.
-    sides = {1: [], -1: []}
-    omsq = P.pic.norm(omega)
+    # bracket each side of omega by r(D) = q_omega(D) / |D^2|, then close the
+    # search exactly: any wall angularly closer than the bracket has
+    # q_omega(D) <= cap.
+    gram = _majorant_gram(P, omega)
+    brackets = {True: [], False: []}
     for x in cands:
-        x0 = _perp_ray_rank2(P, x, omega)
-        side = x0[0] * omega[1] - x0[1] * omega[0]
-        mu = Fraction(P.pic.inner(x0, omega) ** 2, P.pic.norm(x0) * omsq)
-        sides[1 if side > 0 else -1].append(mu)
-    mu_cap = max(min(v) for v in sides.values() if v)
-    cap = max(abs(s) * (2 * mu_cap - 1) for s in lookup)
-    for x in _ball(_majorant_gram(P, omega), cap, budget):
-        by_div = lookup.get(P.pic.norm(x))
-        if not by_div or gcd(*x) != 1:
-            continue
-        t = by_div.get(P.div_of(x))
+        brackets[x[0] * omega[1] - x[1] * omega[0] > 0].append(
+            la.vec_mat_vec(x, gram, x) / -P.pic.norm(x)
+        )
+    cap = max(map(abs, lookup)) * max(min(r) for r in brackets.values() if r)
+    for x in _ball(gram, cap, budget):
+        t = _wall_type(P, lookup, x, P.pic.norm(x))
         if t is not None:
-            cands.setdefault(_toward(P, x, omega), t)
-    return cands, all(sides.values())
+            cands.setdefault(_toward(side, x), t)
+    return cands, all(brackets.values())
 
 
 def _facets(inc):
@@ -794,7 +778,7 @@ def supporting_walls_report(
     """Walls whose hyperplanes carry facets of the chamber of omega.
 
     Candidates differ by rank: rank 2 takes its split divisor pairs, or
-    the box [-search_bound, search_bound]^2 closed off by the mu-ball;
+    the box [-search_bound, search_bound]^2 closed off by a q_omega ball;
     rank >= 3 takes the typed classes of the box
     [-search_bound, search_bound]^rank.  One facet step, shared by all
     ranks, keeps the facets of the cone the candidates cut out that meet

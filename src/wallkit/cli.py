@@ -124,8 +124,6 @@ def _need_input(args) -> object:
 
 
 def cmd_tabulate(args) -> int:
-    if args.n < 2:
-        raise InputError("n must be >= 2")
     ctx = wl.make_context(args.n)
     types = wl.certified_wall_types(ctx) if args.certified else wl.enumerate_wall_types(ctx)
     caveat = args.n >= 5 and not args.certified
@@ -149,8 +147,6 @@ def cmd_tabulate(args) -> int:
 
 
 def cmd_wall_test(args) -> int:
-    if args.n < 2:
-        raise InputError("n must be >= 2")
     ctx = wl.make_context(args.n)
     payload = _need_input(args)
     if not isinstance(payload, dict):
@@ -202,8 +198,6 @@ def cmd_wall_test(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    if args.n < 2:
-        raise InputError("n must be >= 2")
     ctx = wl.make_context(args.n)
     payload = _need_input(args)
     if not isinstance(payload, dict) or "v" not in payload or "w" not in payload:
@@ -305,14 +299,11 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except OnWallError as exc:
         wall = exc.wall
-        if wall is not None:
-            print(
-                f"error: reference class lies on the wall D={list(wall.D.coords)} "
-                f"of type (square {wall.wall_type.square}, div {wall.wall_type.div})",
-                file=sys.stderr,
-            )
-        else:
-            print(f"error: {exc}", file=sys.stderr)
+        print(
+            f"error: reference class lies on the wall D={list(wall.D.coords)} "
+            f"of type (square {wall.wall_type.square}, div {wall.wall_type.div})",
+            file=sys.stderr,
+        )
         return EXIT_ON_WALL
     except (InputError, ConfigurationError, EnumerationBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ class OnWallError(WallkitError):
     Carries the offending wall divisor so callers (and the CLI) can name it.
     """
 
-    def __init__(self, message: str, wall=None):
+    def __init__(self, message: str, wall):
         super().__init__(message)
         self.wall = wall
 

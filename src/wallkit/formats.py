@@ -44,27 +44,27 @@ def _int(value) -> int:
     return f.numerator
 
 
-def parse_vector(obj, rank: int | None = None) -> tuple[int, ...]:
-    """Integer coordinate tuple from a list or a {"coords": [...]} object."""
+def _parse_coords(obj, rank, parse) -> tuple:
+    """`parse` applied to each entry of a list or a {"coords": [...]} object,
+    which must have `rank` entries when `rank` is given."""
     if isinstance(obj, dict):
         obj = obj.get("coords")
     if not isinstance(obj, (list, tuple)):
         raise InputError("vector must be a coordinate list")
-    coords = tuple(_int(c) for c in obj)
+    coords = tuple(map(parse, obj))
     if rank is not None and len(coords) != rank:
         raise InputError(f"vector has {len(coords)} coordinates, expected {rank}")
     return coords
+
+
+def parse_vector(obj, rank: int | None = None) -> tuple[int, ...]:
+    """Integer coordinate tuple from a list or a {"coords": [...]} object."""
+    return _parse_coords(obj, rank, _int)
 
 
 def parse_rational_vector(obj, rank: int | None = None) -> tuple[Fraction, ...]:
-    if isinstance(obj, dict):
-        obj = obj.get("coords")
-    if not isinstance(obj, (list, tuple)):
-        raise InputError("vector must be a coordinate list")
-    coords = tuple(parse_frac(c) for c in obj)
-    if rank is not None and len(coords) != rank:
-        raise InputError(f"vector has {len(coords)} coordinates, expected {rank}")
-    return coords
+    """Rational coordinate tuple from a list or a {"coords": [...]} object."""
+    return _parse_coords(obj, rank, parse_frac)
 
 
 # ------------------------------------------------------------------ lattices
@@ -195,10 +195,7 @@ def parse_chamber_query(obj) -> dict:
         raise InputError(f"chamber query missing keys: {', '.join(missing)}")
     if ("alpha" in obj) != ("beta" in obj):
         raise InputError("chamber query needs both alpha and beta, or neither")
-    n = _int(obj["n"])
-    if n < 2:
-        raise InputError("n must be >= 2")
-    ctx = make_context(n)
+    ctx = make_context(_int(obj["n"]))
     pic = lattice_from_json({"label": obj.get("label", "pic"), "gram": obj["pic_gram"]})
     emb = embedding_from_json(pic, ctx.ambient, obj["embed"])
     omega = parse_rational_vector(obj["omega"], pic.rank)

@@ -366,25 +366,17 @@ def bm_wall_test(T: IntegerLattice, v_in_T: LatticeVector) -> WallWitness | None
             WallCondition.BM_ORTH_ROOT, (T.vector(u0),), (-2, 0), against=v
         )
 
-    for p in (1, 2):
-        if p % dv:
-            continue
-        w0 = particular(p)
-        a, b, c = line_quad(w0)
-        for k in _quad_roots(a, b, c):
-            return WallWitness(
-                WallCondition.BM_ISOTROPIC, (vec(w0, k),), (0, p), against=v
-            )
-
-    for p in range(1, vsq // 2 + 1):
-        if p % dv:
-            continue
-        w0 = particular(p)
-        a, b, c = line_quad(w0)
-        for k in _quad_roots(a, b, c + 2):
-            return WallWitness(
-                WallCondition.BM_BOUNDED_ROOT, (vec(w0, k),), (-2, p), against=v
-            )
+    for cond, sq, pairings in (
+        (WallCondition.BM_ISOTROPIC, 0, (1, 2)),
+        (WallCondition.BM_BOUNDED_ROOT, -2, range(1, vsq // 2 + 1)),
+    ):
+        for p in pairings:
+            if p % dv:
+                continue
+            w0 = particular(p)
+            a, b, c = line_quad(w0)
+            for k in _quad_roots(a, b, c - sq):
+                return WallWitness(cond, (vec(w0, k),), (sq, p), against=v)
 
     for pt in range(1, vsq):
         if pt % dv:

@@ -188,6 +188,20 @@ class TestTabulate:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["wall-test", "--n", "1", "--input", TAIL_CLASS],
+            ["orbit", "--n", "1", "--input", ROOT_PAIR],
+            ["chamber", "--input", P2_QUERY(n=1)],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_bad_n_in_other_commands(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
     # stdout recorded before the sparse kernels and the Smith-form reads
     # of `hyperbolic_T`; every certified row runs the rank-2 wall test.
     @pytest.mark.parametrize("n", range(2, 11))

@@ -59,6 +59,8 @@ class TestVectors:
     def test_rank_check(self):
         with pytest.raises(InputError):
             parse_vector([1, 2], rank=3)
+        with pytest.raises(InputError, match="vector has 2 coordinates, expected 3"):
+            parse_rational_vector(["1/2", 1], rank=3)
 
     def test_non_integer_rejected(self):
         with pytest.raises(InputError):
@@ -67,12 +69,16 @@ class TestVectors:
     def test_rational_vector(self):
         got = parse_rational_vector(["1/2", 3], rank=2)
         assert got == (Fraction(1, 2), Fraction(3))
+        assert parse_rational_vector({"coords": ["-3/4", 2]}) == (Fraction(-3, 4), Fraction(2))
 
     def test_not_a_list(self):
         with pytest.raises(InputError):
             parse_vector("nope")
         with pytest.raises(InputError):
             parse_vector({"wrong": [1]})
+        for obj in ("1/2", {"wrong": ["1/2"]}):
+            with pytest.raises(InputError, match="vector must be a coordinate list"):
+                parse_rational_vector(obj)
 
 
 class TestLatticeJson:

@@ -259,6 +259,24 @@ class TestWallTestWitnesses:
         assert wit.condition is WallCondition.BM_BOUNDED_ROOT
         assert wit.check()
 
+    @pytest.mark.parametrize(
+        "gram, v, condition, vector, pairing",
+        [
+            (((2, 0), (0, -2)), (1, 0), WallCondition.BM_ORTH_ROOT, (0, 1), (-2, 0)),
+            (((0, 1), (1, 0)), (1, 2), WallCondition.BM_ISOTROPIC, (0, 1), (0, 1)),
+        ],
+        ids=["orth-root", "isotropic"],
+    )
+    def test_bm_wall_test_first_conditions(self, gram, v, condition, vector, pairing):
+        from wallkit import IntegerLattice
+
+        T = IntegerLattice(gram, label="T")
+        wit = bm_wall_test(T, T.vector(v))
+        assert wit.condition is condition
+        assert [w.coords for w in wit.vectors] == [vector]
+        assert wit.pairing_data == pairing
+        assert wit.check()
+
     def test_bm_wall_test_requires_hyperbolic(self):
         from wallkit import IntegerLattice
 
