@@ -21,8 +21,10 @@ All questions are reduced to exact finite enumerations:
   normalized angle between w and the positive ray of D-perp, so "angularly
   closer than the bracket" is another complete q_w enumeration.  In rank
   >= 3 they are the typed classes of the height box, and the report is
-  inexact: a wall outside the box can cut a facet off.  Every candidate is
-  typed by `_wall_type` and turned toward omega by `_toward`.
+  inexact: a wall outside the box can cut a facet off.  The box is solved
+  in integers, each type's square for the last coordinate given the
+  others.  Every candidate is typed by `_wall_type` and turned toward omega
+  by `_toward`.
 * One facet step, shared by every rank, turns candidates into walls: the
   facets of the cone K they cut out that meet omega's component of the
   positive cone.  One integer double description of K gives its rays;
@@ -32,10 +34,10 @@ All questions are reduced to exact finite enumerations:
   it contains plus stationary points of the faces its neighbours in K
   cut.
 
-Every enumeration above (the segment's majorant balls, the on-wall check
-and the rank-2 closing ball) walks one of each pair x, -x, for the cells of
-the whole ball: a class and its negative have the same square,
-divisibility and primitivity.
+Every enumeration above (the segment's majorant balls, the on-wall check,
+the height box and the rank-2 closing ball) walks one of each pair x, -x,
+for the cells of the whole ball or box: a class and its negative have the
+same square, divisibility and primitivity.
 
 Every supporting-wall answer depends on omega only up to positive scale, so
 omega is rational only at the API: the public entry points scale it once to
@@ -583,22 +585,68 @@ def _last_coordinates(a, b, c, bound):
 
 def _box_candidates(P: PicardData, omega, lookup, bound, budget):
     """Type-matching primitive classes with coordinates in [-bound, bound],
-    oriented toward omega, in box order.  Assumes the on-wall check ran.
-    Each square is solved for the last coordinate given the others."""
+    oriented toward omega, in box order, for the cells of the whole box.
+    Assumes the on-wall check ran: a typed class orthogonal to omega is a
+    broken invariant and raises InternalError.
+
+    Box order is lexicographic and x -> -x reverses it, so the classes
+    before 0 are one of each pair x, -x, each met before its negative; the
+    two share square, primitivity and type and turn toward omega as one
+    class, so the walk stops at 0.  A class is x = (outer, u, t), and
+    x^2 = s reads a t^2 + 2 b t + q = s with a = G_tt, b = (G (outer, u, 0))_t
+    and q = (outer, u, 0)^2: each head (outer, u) takes d0 = b^2 - a q once,
+    and each square s its root t = (-b +- isqrt(d0 + a s)) / a, where exact.
+    b and q step along u.
+    """
     n = P.pic.rank
-    gram = P.pic.gram
-    side = la.mat_vec(gram, omega)  # (x, omega) = side . x
+    g = P.pic.gram
+    k = n - 2  # u's index
+    a, guu, gtu = g[-1][-1], g[k][k], g[-1][k]
+    side = la.mat_vec(g, omega)  # (x, omega) = side . x
     budget.spend((2 * bound + 1) ** n)
+    # d = d0 + a s falls along the list, so the first d < 0 ends it
+    squares = sorted(((s, a * s) for s in lookup), key=lambda p: p[1], reverse=True)
+    zero = (0,) * k
     out = {}
-    for head in itertools.product(range(-bound, bound + 1), repeat=n - 1):
-        gh = [_dot(row, head) for row in gram]  # gram rows against (head, 0)
-        b, q = gh[-1], _dot(head, gh)
-        roots = {t: s for s in lookup for t in _last_coordinates(gram[-1][-1], b, q - s, bound)}
-        for t in sorted(roots):
-            x = (*head, t)
-            wt = _wall_type(P, lookup, x, roots[t])
-            if wt is not None:
+    for outer in itertools.product(range(-bound, bound + 1), repeat=k):
+        if outer > zero:
+            break
+        go = [_dot(row, outer) for row in g]  # G (outer, 0, 0)
+        # at u = -bound: gu = (G head)_u, b = (G head)_t, q = head^2
+        gu, b = go[k] - guu * bound, go[-1] - gtu * bound
+        q = _dot(outer, go) - 2 * bound * go[k] + guu * bound * bound
+        for u in range(-bound, 1 if outer == zero else bound + 1):
+            top = bound if u or outer != zero else -1  # head 0: t < 0 only
+            roots = {}
+            if a:
+                d0 = b * b - a * q
+                for s, as_ in squares:
+                    d = d0 + as_
+                    if d < 0:
+                        break
+                    r = isqrt(d)
+                    if r * r != d:
+                        continue
+                    for num in (-b - r, -b + r):
+                        t, rem = divmod(num, a)
+                        if not rem and -bound <= t <= top:
+                            roots[t] = s
+            else:
+                for s, _ in squares:
+                    for t in _last_coordinates(0, b, q - s, bound):
+                        if t <= top:
+                            roots[t] = s
+            for t in sorted(roots):
+                x = (*outer, u, t)
+                wt = _wall_type(P, lookup, x, roots[t])
+                if wt is None:
+                    continue
+                if _dot(side, x) == 0:
+                    raise InternalError(f"box class {x} of a listed type is orthogonal to omega")
                 out[_toward(side, x)] = wt
+            q += 2 * gu + guu
+            gu += guu
+            b += gtu
     return out
 
 

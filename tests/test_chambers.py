@@ -386,11 +386,45 @@ class TestBoxCandidates:
         found = 0
         for bound in (1, 2, 3) if P.pic.rank < 5 else (1, 2):
             new, old = CellBudget(), CellBudget()
+            if (name, bound) == ("last-isotropic", 3):
+                # this omega has omega^2 = -4 and is orthogonal to (-1, -3, 0) of
+                # type (-2, 1), which the on-wall check would have refused
+                with pytest.raises(InternalError, match=r"\(-1, -3, 0\)"):
+                    chambers._box_candidates(P, omega, lookup, bound, new)
+                continue
             got = chambers._box_candidates(P, omega, lookup, bound, new)
             want = box_candidates_by_cell(P, omega, lookup, bound, old)
             assert list(got.items()) == list(want.items())
             assert new.used == old.used
             found += len(got)
+        assert found > 0
+
+    @pytest.mark.parametrize("name", list(BOX_LATTICES))
+    def test_half_walk_matches_cell_scan_off_walls(self, name):
+        # seeded integer omega in the positive cone that the on-wall check
+        # passes, as every query's omega does
+        P = picard(*BOX_LATTICES[name])
+        lookup = chambers._type_lookup(certified_wall_types(P.ctx))
+        rng = random.Random(name)
+        omegas = []
+        for _ in range(1000):
+            omega = tuple(rng.randint(-999, 999) for _ in range(P.pic.rank))
+            if P.pic.norm(omega) > 0 and (
+                on_wall_outcome(chambers._check_on_wall, P, omega, lookup, CellBudget()) is None
+            ):
+                omegas.append(omega)
+                if len(omegas) == 3:
+                    break
+        assert len(omegas) == 3
+        found = 0
+        for omega in omegas:
+            for bound in (1, 2, 3, 4) if P.pic.rank < 5 else (1, 2):
+                new, old = CellBudget(), CellBudget()
+                got = chambers._box_candidates(P, omega, lookup, bound, new)
+                want = box_candidates_by_cell(P, omega, lookup, bound, old)
+                assert list(got.items()) == list(want.items()), (omega, bound)
+                assert new.used == old.used
+                found += len(got)
         assert found > 0
 
     def test_last_coordinates_match_brute_force(self):
@@ -573,7 +607,8 @@ class TestOnWall:
     # of 10^8 cells (about two minutes) there and raised.  The golden is the
     # report recorded before that change with only the check bypassed,
     # since the majorant ball finds no typed class orthogonal to omega.
-    @pytest.mark.parametrize("bound, gate", [(2, 1), (12, 10)])
+    # the B=12 id keeps the 10 s gate it was first given
+    @pytest.mark.parametrize("bound, gate", [(2, 1), pytest.param(12, 2, id="12-10")])
     def test_large_reference_answers_its_golden(self, bound, gate):
         P = picard(3, RANK4_GRAM, RANK4_COLS)
         types = certified_wall_types(P.ctx)

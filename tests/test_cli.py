@@ -524,7 +524,7 @@ class TestChamber:
         assert code == 0
         assert err == ""
         assert out == (GOLDEN / f"chamber_{name}_json.txt").read_text(encoding="utf-8")
-        assert elapsed < 10, f"{name} took {elapsed:.1f} s against a 10 s gate"
+        assert elapsed < 3, f"{name} took {elapsed:.1f} s against a 3 s gate"
 
     def test_large_reference_exits_0_in_a_fresh_process(self):
         # the on-wall check of this query once spent the whole default cap
