@@ -252,35 +252,41 @@ def lll_reduce(gram: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix]:
     return tuple(map(tuple, u)), tuple(map(tuple, g))
 
 
-def solve_rational(m: Sequence[Sequence], b: Sequence) -> tuple[Fraction, ...] | None:
-    """One rational solution of M x = b (Gauss elimination), or None."""
+def solve_fraction_free(m: Sequence[Sequence[int]], b: Sequence[int]):
+    """The reduced-echelon solution of the integer system M x = b, every
+    free variable 0, as (num, den) with x = num / den and den > 0, or None.
+
+    Fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968): a pivot
+    step scales the other rows by the pivot and divides, exactly, by the
+    previous one.  Pivots are chosen as over Q, so the solution is Q's.
+    """
     nr = len(m)
     nc = len(m[0]) if nr else 0
-    a = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(m, b)]
+    a = [[*row, bv] for row, bv in zip(m, b)]
     pivots = []
-    r = 0
+    prev = 1
     for c in range(nc):
-        piv = next((i for i in range(r, nr) if a[i][c] != 0), None)
+        r = len(pivots)
+        if r == nr:
+            break
+        piv = next((i for i in range(r, nr) if a[i][c]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
+        row = a[r]
+        p = row[c]
         for i in range(nr):
-            if i != r and a[i][c] != 0:
+            if i != r:
                 f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row)]
+        prev = p
         pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    for i in range(r, nr):
-        if a[i][nc] != 0:
-            return None
-    x = [Fraction(0)] * nc
+    if any(a[i][nc] for i in range(len(pivots), nr)):
+        return None
+    x = [0] * nc
     for i, c in enumerate(pivots):
         x[c] = a[i][nc]
-    return tuple(x)
+    return (tuple(x), prev) if prev > 0 else (tuple(-v for v in x), -prev)
 
 
 def signature_of(gram: Sequence[Sequence[int]]) -> tuple[int, int]:

@@ -32,7 +32,8 @@ All questions are reduced to exact finite enumerations:
   bitmasks pick out the facets and the ridges between them.  A facet is
   decided exactly, a sup-of-quadratic question solved on it from the rays
   it contains plus stationary points of the faces its neighbours in K
-  cut.
+  cut.  The decision runs in integers, from the double description to the
+  certificate: points are pairs (num, den), solved fraction-free.
 
 Every enumeration above (the segment's majorant balls, the on-wall check,
 the height box and the rank-2 closing ball) walks one of each pair x, -x,
@@ -64,7 +65,7 @@ from .lattice import (
     signature,
 )
 from .shortvec import CellBudget, _fp_decompose, _fp_points
-from .walls import NContext, WallType, _quad_roots
+from .walls import NContext, WallType
 
 __all__ = [
     "PicardData",
@@ -202,6 +203,8 @@ def _primitive_int(vec) -> tuple[int, ...]:
 def _primitive(vec) -> tuple[int, ...]:
     """A nonzero integer vector divided by the gcd of its entries."""
     g = gcd(*vec)
+    if not g:
+        raise InternalError(f"zero vector {tuple(vec)} has no primitive representative")
     return tuple(c // g for c in vec)
 
 
@@ -442,7 +445,8 @@ _MAX_STEPS = 200  # cap on the doubling walk and the certificate pull
 def _sup_positive_witness(
     gram, rays, lineality, phi, normal, facets, toward, budget: CellBudget
 ):
-    """A rational x in the cone with x^T gram x > 0 and toward . x > 0, or None.
+    """A point x = num / den of the cone with x^T gram x > 0 and
+    toward . x > 0, as the integer pair (num, den) with den > 0, or None.
 
     The cone is lineality + cone(rays) and lies in the hyperplane
     normal . x = 0; `facets` are the rows cutting out its facets there, and
@@ -453,7 +457,9 @@ def _sup_positive_witness(
     of the hyperplane.  In omega's component sqrt(q) is strictly concave
     (reverse Cauchy-Schwarz), so the maximiser there is unique: the
     stationary point of q on the span of its face, which `normal` and a
-    subset of the facet rows cut out.
+    subset of the facet rows cut out.  It runs in integers: the Schur step
+    scales the form and `toward` by -q(l) > 0, keeping signs and argmax,
+    and q(num) / den^2 compares cross-multiplied.
     """
 
     def q(x, y=None):
@@ -471,7 +477,7 @@ def _sup_positive_witness(
             l = neg(l)
         ql = q(l)
         if ql > 0:
-            return tuple(Fraction(x) for x in l)
+            return l, 1
         if ql == 0:
             # l is null and points into omega's component, so every cone
             # point in that component pairs positively with l; walk such a
@@ -480,61 +486,59 @@ def _sup_positive_witness(
             partner = next((y for y in pool if q(l, y) > 0), None)
             if partner is None:
                 return None
-            t = Fraction(1)
-            for _ in range(_MAX_STEPS):
-                x = tuple(Fraction(a) + t * b for a, b in zip(partner, l))
+            for k in range(_MAX_STEPS):
+                x = tuple(a + (b << k) for a, b in zip(partner, l))
                 if q(x) > 0:
-                    return x
-                t *= 2
+                    return x, 1
             raise InternalError("unbounded direction failed to verify")
-        # ql < 0: optimize the l-component away (Schur complement)
+        # ql < 0: optimize the l-component away (Schur complement, times -ql)
         gl = la.mat_vec(gram, l)
-        n = len(l)
         schur = tuple(
-            tuple(Fraction(gram[i][j]) - gl[i] * gl[j] / ql for j in range(n))
-            for i in range(n)
+            tuple(a * b - ql * g for g, b in zip(row, gl)) for row, a in zip(gram, gl)
         )
-        sub_toward = tuple(h - side(l) / ql * g for h, g in zip(toward, gl))
+        sub_toward = tuple(side(l) * g - ql * h for h, g in zip(toward, gl))
         sub = _sup_positive_witness(schur, rays, rest, phi, normal, facets, sub_toward, budget)
         if sub is None:
             return None
-        tstar = -q(l, sub) / ql
-        return tuple(a + tstar * b for a, b in zip(sub, l))
+        # num / den + t l with t = -q(l, num) / (ql den)
+        num, den = sub
+        t = q(l, num)
+        return tuple(t * b - ql * a for a, b in zip(num, l)), -ql * den
 
     candidates = []
     for r in rays:
-        pv = sum(p * c for p, c in zip(phi, r))
+        pv = _dot(phi, r)
         if pv <= 0:
             raise InternalError("base functional not positive on ray")
-        candidates.append(tuple(Fraction(c) / pv for c in r))
+        candidates.append((r, pv))
     for size in range(len(gram) - 1):
         for subset in itertools.combinations(facets, size):
             budget.spend()
             rows = [phi, normal, *subset]
-            x0 = la.solve_rational(rows, [1, 0] + [0] * size)
-            if x0 is None:
+            sol = la.solve_fraction_free(rows, [1, 0] + [0] * size)
+            if sol is None:
                 continue
             null = la.kernel_basis([_primitive(row) for row in rows])
             if null:
+                # mu's system times d0: x0 / d0 + sum mu_k null_k / (dm d0)
+                x0, d0 = sol
                 gn = [[q(ni, nj) for nj in null] for ni in null]
-                mu = la.solve_rational(gn, [-q(ni, x0) for ni in null])
+                mu = la.solve_fraction_free(gn, [-q(ni, x0) for ni in null])
                 if mu is None:
                     continue
-                x0 = tuple(
-                    x + sum(m * nv[i] for m, nv in zip(mu, null))
-                    for i, x in enumerate(x0)
-                )
-            candidates.append(x0)
+                m, dm = mu
+                sol = tuple(dm * x + _dot(m, col) for x, col in zip(x0, zip(*null))), dm * d0
+            candidates.append(sol)
     best = None
-    for x in candidates:
-        if side(x) <= 0 or any(sum(c * v for c, v in zip(row, x)) < 0 for row in facets):
+    for num, den in candidates:
+        if side(num) <= 0 or any(_dot(row, num) < 0 for row in facets):
             continue
-        val = q(x)
-        if best is None or val > best[0]:
-            best = (val, x)
+        val = q(num)
+        if best is None or val * best[2] ** 2 > best[0] * den * den:
+            best = (val, num, den)
     if best is None or best[0] <= 0:
         return None
-    return best[1]
+    return best[1], best[2]
 
 
 # ------------------------------------------------------------ wall supports
@@ -573,14 +577,12 @@ def _check_on_wall(P: PicardData, omega, lookup, budget: CellBudget):
         )
 
 
-def _last_coordinates(a, b, c, bound):
-    """Integers t in [-bound, bound] with a t^2 + 2 b t + c = 0."""
-    if a == 0:
-        if b == 0:
-            return range(-bound, bound + 1) if c == 0 else ()
-        t, rem = divmod(-c, 2 * b)
-        return (t,) if rem == 0 and -bound <= t <= bound else ()
-    return [t for t in _quad_roots(a, 2 * b, c) if -bound <= t <= bound]
+def _last_coordinates(b, c, bound):
+    """Integers t in [-bound, bound] with 2 b t + c = 0."""
+    if b == 0:
+        return range(-bound, bound + 1) if c == 0 else ()
+    t, rem = divmod(-c, 2 * b)
+    return (t,) if rem == 0 and -bound <= t <= bound else ()
 
 
 def _box_candidates(P: PicardData, omega, lookup, bound, budget):
@@ -633,7 +635,7 @@ def _box_candidates(P: PicardData, omega, lookup, bound, budget):
                             roots[t] = s
             else:
                 for s, _ in squares:
-                    for t in _last_coordinates(0, b, q - s, bound):
+                    for t in _last_coordinates(b, q - s, bound):
                         if t <= top:
                             roots[t] = s
             for t in sorted(roots):
@@ -789,7 +791,7 @@ def _facet_walls(P, omega, cands, budget):
         others = [y for y in cands if y != x]
         # fast path: the orthogonal projection of omega often certifies;
         # x^2 < 0, so this is -x^2 times omega - (omega, x) / x^2 x
-        ox, xsq = P.pic.inner(omega, x), P.pic.norm(x)
+        ox, xsq = _dot(gy[x], omega), _dot(gy[x], x)
         proj = _primitive([ox * c - xsq * w for w, c in zip(omega, x)])
         if all(_dot(gy[y], proj) > 0 for y in others):
             walls.append(Wall(D=P.pic.vector(x), wall_type=t, certificate=proj))
@@ -801,19 +803,17 @@ def _facet_walls(P, omega, cands, budget):
         witness = _sup_positive_witness(gram, face, lin, phi, gy[x], ridges, toward, budget)
         if witness is None:
             continue
-        # pull toward the interior point to make certificates strict,
-        # staying in omega's component
+        # pull toward the interior point, num / den + interior / 2^k (times
+        # 2^k den), to make certificates strict, staying in omega's component
+        num, den = witness
         interior = tuple(map(sum, zip(*face)))
-        eps = Fraction(1)
-        for _ in range(_MAX_STEPS):
-            xw = tuple(w + eps * i for w, i in zip(witness, interior))
+        for k in range(_MAX_STEPS):
+            xw = tuple((w << k) + den * i for w, i in zip(num, interior))
             if la.vec_mat_vec(xw, gram, xw) > 0 and _dot(toward, xw) > 0:
-                witness = xw
                 break
-            eps /= 2
         else:
             raise InternalError("no strict certificate near the facet witness")
-        cert = _primitive_int(witness)
+        cert = _primitive(xw)
         if not all(_dot(gy[y], cert) > 0 for y in others):
             raise InternalError(f"certificate {cert} misses a candidate wall")
         walls.append(Wall(D=P.pic.vector(x), wall_type=t, certificate=cert))
@@ -856,12 +856,13 @@ def supporting_walls_report(
     walls = _facet_walls(P, om, cands, budget)
     for w in walls:
         c = w.certificate
+        gc = () if c is None else la.mat_vec(P.pic.gram, c)
         if not (
-            c is not None
-            and P.pic.norm(c) > 0
-            and P.pic.inner(c, w.D.coords) == 0
-            and P.pic.inner(c, om) > 0
-            and all(P.pic.inner(v.D.coords, c) > 0 for v in walls if v is not w)
+            gc
+            and _dot(gc, c) > 0
+            and _dot(gc, w.D.coords) == 0
+            and _dot(gc, om) > 0
+            and all(_dot(gc, v.D.coords) > 0 for v in walls if v is not w)
         ):
             raise InternalError(f"certificate {c} does not certify the wall D={w.D.coords}")
     return SupportResult(walls=tuple(walls), exact=exact, search_bound=search_bound)

@@ -428,10 +428,11 @@ class TestBoxCandidates:
         assert found > 0
 
     def test_last_coordinates_match_brute_force(self):
-        for a, b, c in itertools.product(range(-3, 4), range(-3, 4), range(-9, 10)):
-            assert sorted(set(chambers._last_coordinates(a, b, c, 4))) == [
-                t for t in range(-4, 5) if a * t * t + 2 * b * t + c == 0
-            ], (a, b, c)
+        # the box solves a != 0 heads inline; the helper takes a = 0 only
+        for b, c in itertools.product(range(-3, 4), range(-9, 10)):
+            assert sorted(set(chambers._last_coordinates(b, c, 4))) == [
+                t for t in range(-4, 5) if 2 * b * t + c == 0
+            ], (b, c)
 
 
 # ------------------------------------------------------------ wall membership
@@ -1258,6 +1259,12 @@ class TestFacetSearch:
             query["P"], rep.walls, query["omega"]
         )
 
+    def test_zero_vector_is_internal_error(self):
+        # the search never makes a zero direction; one is a broken
+        # invariant, not bad input
+        with pytest.raises(InternalError, match="zero vector"):
+            chambers._primitive((0, 0, 0))
+
     def test_broken_certificate_is_internal_error(self, monkeypatch):
         monkeypatch.setattr(
             chambers, "_facet_walls", flip_first_certificate(chambers._facet_walls)
@@ -1326,3 +1333,276 @@ class TestSupportCells:
         if cells > 1:
             with pytest.raises(EnumerationBudgetExceeded):
                 search(cells - 1)
+
+
+# ------------------------------------------------ recorded facet decisions
+
+
+FACET_WITNESS = json.loads(
+    (GOLDEN_DIR / "facet_witness.json").read_text(encoding="utf-8")
+)
+
+
+def facet_witness_report(case):
+    """The recorded query's report, recomputed."""
+    lattice = FACET_WITNESS["lattices"][case["lattice"]]
+    query = parse_chamber_query(dict(lattice, omega=case["omega"], bound=case["bound"]))
+    P = query["P"]
+    return supporting_walls_report(P, query["omega"], certified_wall_types(P.ctx), case["bound"])
+
+
+class TestFacetWitnessRecorded:
+    @pytest.mark.parametrize(
+        "case", FACET_WITNESS["cases"], ids=[f"f{i}" for i in range(len(FACET_WITNESS["cases"]))]
+    )
+    def test_matches_recorded(self, monkeypatch, case):
+        # walls, certificates and cells byte for byte, and the same facets
+        # decided past omega's projection, with and without lineality
+        budgets, decided = [], []
+        depth = [0]
+        decide = chambers._sup_positive_witness
+
+        class Recording(CellBudget):
+            def __init__(self, *args):
+                super().__init__(*args)
+                budgets.append(self)
+
+        def counting(gram, rays, lineality, *rest):
+            if not depth[0]:
+                decided.append(bool(lineality))
+            depth[0] += 1
+            try:
+                return decide(gram, rays, lineality, *rest)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(chambers, "CellBudget", Recording)
+        monkeypatch.setattr(chambers, "_sup_positive_witness", counting)
+        rep = facet_witness_report(case)
+        got = [
+            [list(w.D.coords), w.wall_type.square, w.wall_type.div, list(w.certificate)]
+            for w in rep.walls
+        ]
+        assert json.dumps(got) == json.dumps(case["walls"])
+        assert [b.used for b in budgets] == [case["cells"]]
+        assert (len(decided), sum(decided)) == (case["slow"], case["lineality"])
+
+    def test_sweep_reaches_the_slow_path(self):
+        cases = FACET_WITNESS["cases"]
+        assert sum(c["slow"] for c in cases) >= 300
+        assert sum(c["lineality"] for c in cases) >= 10
+
+
+# ------------------------------------- facet decision against Fraction oracles
+
+
+def solve_fraction(m, b):
+    """The reduced-echelon solution of M x = b over Fraction, every free
+    variable 0, or None: Gauss-Jordan over Q, the oracle of the integer
+    solver."""
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    a = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(m, b)]
+    pivots = []
+    r = 0
+    for c in range(nc):
+        piv = next((i for i in range(r, nr) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = a[r][c]
+        a[r] = [x / inv for x in a[r]]
+        for i in range(nr):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    for i in range(r, nr):
+        if a[i][nc] != 0:
+            return None
+    x = [Fraction(0)] * nc
+    for i, c in enumerate(pivots):
+        x[c] = a[i][nc]
+    return tuple(x)
+
+
+def fraction_sup_positive_witness(gram, rays, lineality, phi, normal, facets, toward, budget):
+    """The facet decision over Fraction, as it ran before it moved to
+    integers: the oracle of chambers._sup_positive_witness."""
+
+    def q(x, y=None):
+        return la.vec_mat_vec(x, gram, x if y is None else y)
+
+    def side(x):
+        return sum(a * b for a, b in zip(toward, x))
+
+    def neg(x):
+        return tuple(-c for c in x)
+
+    if lineality:
+        l, *rest = lineality
+        if side(l) < 0:
+            l = neg(l)
+        ql = q(l)
+        if ql > 0:
+            return tuple(Fraction(x) for x in l)
+        if ql == 0:
+            pool = [*rays, *lineality, *map(neg, lineality)]
+            partner = next((y for y in pool if q(l, y) > 0), None)
+            if partner is None:
+                return None
+            t = Fraction(1)
+            for _ in range(chambers._MAX_STEPS):
+                x = tuple(Fraction(a) + t * b for a, b in zip(partner, l))
+                if q(x) > 0:
+                    return x
+                t *= 2
+            raise InternalError("unbounded direction failed to verify")
+        gl = la.mat_vec(gram, l)
+        n = len(l)
+        schur = tuple(
+            tuple(Fraction(gram[i][j]) - gl[i] * gl[j] / ql for j in range(n))
+            for i in range(n)
+        )
+        sub_toward = tuple(h - side(l) / ql * g for h, g in zip(toward, gl))
+        sub = fraction_sup_positive_witness(
+            schur, rays, rest, phi, normal, facets, sub_toward, budget
+        )
+        if sub is None:
+            return None
+        tstar = -q(l, sub) / ql
+        return tuple(a + tstar * b for a, b in zip(sub, l))
+
+    candidates = []
+    for r in rays:
+        pv = sum(p * c for p, c in zip(phi, r))
+        if pv <= 0:
+            raise InternalError("base functional not positive on ray")
+        candidates.append(tuple(Fraction(c) / pv for c in r))
+    for size in range(len(gram) - 1):
+        for subset in itertools.combinations(facets, size):
+            budget.spend()
+            rows = [phi, normal, *subset]
+            x0 = solve_fraction(rows, [1, 0] + [0] * size)
+            if x0 is None:
+                continue
+            null = la.kernel_basis([chambers._primitive(row) for row in rows])
+            if null:
+                gn = [[q(ni, nj) for nj in null] for ni in null]
+                mu = solve_fraction(gn, [-q(ni, x0) for ni in null])
+                if mu is None:
+                    continue
+                x0 = tuple(
+                    x + sum(m * nv[i] for m, nv in zip(mu, null)) for i, x in enumerate(x0)
+                )
+            candidates.append(x0)
+    best = None
+    for x in candidates:
+        if side(x) <= 0 or any(sum(c * v for c, v in zip(row, x)) < 0 for row in facets):
+            continue
+        val = q(x)
+        if best is None or val > best[0]:
+            best = (val, x)
+    if best is None or best[0] <= 0:
+        return None
+    return best[1]
+
+
+def decide_both_ways(*args):
+    """The integer decision as a rational point, the oracle's, and the
+    cells each spent."""
+    new, old = CellBudget(), CellBudget()
+    got = chambers._sup_positive_witness(*args, new)
+    want = fraction_sup_positive_witness(*args, old)
+    if got is not None:
+        num, den = got
+        assert den > 0 and all(type(c) is int for c in (*num, den))
+        got = tuple(Fraction(c, den) for c in num)
+    return got, want, new.used, old.used
+
+
+# U + <-2> + <-2>, and its rank-3 part: signature (1, 3) and (1, 2)
+U22 = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, -2, 0), (0, 0, 0, -2))
+U2 = ((0, 1, 0), (1, 0, 0), (0, 0, -2))
+
+
+class TestSupPositiveWitness:
+    @pytest.mark.parametrize(
+        "gram,rays,lineality,phi,normal,facets,toward,point",
+        [
+            # a positive lineality direction, turned toward omega
+            pytest.param(U2, [], [(-1, -1, 0)], (1, 1, 0), (1, -1, 0), [], (1, 1, 0),
+                         (1, 1, 0), id="ql-positive"),
+            # a null direction walked from the partner ray (0, 1, 2) by
+            # t = 1, 2, 4, 8 until q = 2t - 8 > 0: x = (8, 1, 2)
+            pytest.param(U2, [(0, 1, 2)], [(1, 0, 0)], (0, 1, 0), (0, 2, -1), [], (1, 1, 0),
+                         (8, 1, 2), id="ql-null-walk"),
+            # a null direction that pairs with nothing in the cone
+            pytest.param(U2, [(0, 0, 1)], [(1, 0, 0)], (0, 0, 1), (0, 1, 0), [], (1, 1, 0),
+                         None, id="ql-null-no-partner"),
+            # a negative direction: Schur step, then the base segment
+            # x1 + x2 = 1 peaks at (1/2, 1/2)
+            pytest.param(U22, [(1, 0, 0, 0), (0, 1, 0, 0)], [(0, 0, 1, 0)], (1, 1, 0, 0),
+                         (0, 0, 0, 1), [(1, 0, 0, 0), (0, 1, 0, 0)], (1, 1, 1, 0),
+                         (Fraction(1, 2), Fraction(1, 2), 0, 0), id="ql-negative-schur"),
+            # the Schur step leaves the isotropic ray e1 alone: nothing positive
+            pytest.param(U22, [(1, 0, 0, 0)], [(0, 0, 1, 0)], (1, 0, 0, 0), (0, 0, 0, 1), [],
+                         (1, 1, 1, 0), None, id="ql-negative-none"),
+            # pointed: every candidate on the wrong side of toward
+            pytest.param(U2, [(1, 0, 0), (0, 1, 0)], [], (1, 1, 0), (0, 0, 1),
+                         [(1, 0, 0), (0, 1, 0)], (-1, -1, 0), None, id="pointed-wrong-side"),
+            # pointed: q <= 0 on the whole face x2 = 0, the best candidate
+            # has q = 0
+            pytest.param(U2, [(1, 0, 0), (1, 0, 1)], [], (1, 0, 0), (0, 1, 0),
+                         [(0, 0, 1), (1, 0, -1)], (1, 1, 0), None, id="pointed-not-positive"),
+            # pointed: the interior stationary point wins
+            pytest.param(U2, [(1, 0, 0), (0, 1, 0)], [], (1, 1, 0), (0, 0, 1),
+                         [(1, 0, 0), (0, 1, 0)], (1, 1, 0),
+                         (Fraction(1, 2), Fraction(1, 2), 0), id="pointed-stationary"),
+            # pointed: a ray wins and keeps the tie with its facet's point;
+            # the stationary point (1, 1, 0) is off the cone
+            pytest.param(U2, [(2, 2, 1), (1, 1, 1)], [], (1, 0, 0), (1, -1, 0),
+                         [(-1, 0, 2), (1, 0, -1)], (1, 1, 0),
+                         (1, 1, Fraction(1, 2)), id="pointed-ray"),
+        ],
+    )
+    def test_hand_built_cone_matches_oracle(
+        self, gram, rays, lineality, phi, normal, facets, toward, point
+    ):
+        got, want, used, oracle_used = decide_both_ways(
+            gram, rays, lineality, phi, normal, facets, toward
+        )
+        assert got == want
+        assert used == oracle_used
+        assert got == (None if point is None else tuple(map(Fraction, point)))
+
+    def test_recorded_facets_match_oracle(self, monkeypatch):
+        # every facet decision of the recorded sweep's lineality queries
+        # and of a seeded sample of the rest, argument for argument, the
+        # Schur step's inner decisions included
+        calls = []
+        decide = chambers._sup_positive_witness
+
+        def recording(*args):
+            calls.append(args[:-1])
+            return decide(*args)
+
+        cases = FACET_WITNESS["cases"]
+        sample = [c for c in cases if c["lineality"]]
+        sample += random.Random(26).sample([c for c in cases if not c["lineality"]], 60)
+        monkeypatch.setattr(chambers, "_sup_positive_witness", recording)
+        for case in sample:
+            facet_witness_report(case)
+        monkeypatch.undo()
+        branches = set()
+        for args in calls:
+            got, want, used, oracle_used = decide_both_ways(*args)
+            assert (got, used) == (want, oracle_used)
+            lineality, gram = args[2], args[0]
+            if lineality:
+                ql = la.vec_mat_vec(lineality[0], gram, lineality[0])
+                branches.add((ql > 0) - (ql < 0))
+        assert {-1, 0} <= branches

@@ -12,7 +12,7 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 import wallkit._linalg as la
-from test_chambers import DIV_LATTICES, picard
+from test_chambers import DIV_LATTICES, picard, solve_fraction
 from test_cli import subprocess_env
 from wallkit import (
     IntegerLattice,
@@ -155,9 +155,37 @@ class TestKernel:
 class TestSolvers:
     def test_solve_rational(self):
         m = ((2, 0), (0, 3))
-        sol = la.solve_rational(m, (1, 1))
-        assert sol == (Fraction(1, 2), Fraction(1, 3))
-        assert la.solve_rational(((1, 1), (1, 1)), (0, 1)) is None
+        assert la.solve_fraction_free(m, (1, 1)) == ((3, 2), 6)  # (1/2, 1/3)
+        assert la.solve_fraction_free(((1, 1), (1, 1)), (0, 1)) is None
+
+    @pytest.mark.parametrize("kind", ["consistent", "inconsistent", "rank-deficient"])
+    def test_fraction_free_matches_fraction_rref(self, kind):
+        rng = random.Random(f"solve-{kind}")
+        seen = {True: 0, False: 0}
+        for _ in range(300):
+            r, c = rng.randint(1, 5), rng.randint(1, 5)
+            if kind == "rank-deficient":
+                k = rng.randint(0, min(r, c) - 1)
+                left, right = rand_matrix(rng, r, k, -3, 3), rand_matrix(rng, k, c, -3, 3)
+                m = la.mat_mul(left, right) if k else ((0,) * c,) * r
+            else:
+                m = rand_matrix(rng, r, c, -5, 5)
+            if kind == "inconsistent" or rng.random() < 0.5:
+                b = tuple(rng.randint(-9, 9) for _ in range(r))
+            else:
+                b = la.mat_vec(m, tuple(rng.randint(-4, 4) for _ in range(c)))
+            got = la.solve_fraction_free(m, b)
+            want = solve_fraction(m, b)
+            seen[want is None] += 1
+            if want is None:
+                assert got is None, (m, b)
+                continue
+            num, den = got
+            assert den > 0 and all(type(v) is int for v in (*num, den))
+            assert tuple(Fraction(v, den) for v in num) == want, (m, b)
+        assert seen[False] > 0
+        if kind != "consistent":
+            assert seen[True] > 0
 
 
 def dense_mat_mul(a, b):

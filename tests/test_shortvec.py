@@ -20,6 +20,7 @@ from wallkit import (
     short_vectors,
     standard_lattice,
 )
+from test_chambers import solve_fraction
 
 
 def brute_force(gram, target):
@@ -199,7 +200,7 @@ def box_radii(gram, bound):
     n = len(gram)
     out = []
     for i in range(n):
-        v = bound * la.solve_rational(gram, [int(i == j) for j in range(n)])[i]
+        v = bound * solve_fraction(gram, [int(i == j) for j in range(n)])[i]
         out.append(math.isqrt(v.numerator // v.denominator))
     return out
 
