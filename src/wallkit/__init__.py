@@ -27,13 +27,11 @@ from .lattice import (
     discriminant_group,
     divisibility,
     orthogonal_complement,
-    saturation,
     signature,
     standard_lattice,
 )
 from .shortvec import (
     CellBudget,
-    configured_max_cells,
     short_vectors,
 )
 from .walls import (
@@ -72,7 +70,6 @@ from .catalog import (
     FixtureReport,
     list_fixtures,
     load_fixture,
-    verify_all,
     verify_fixture,
 )
 
@@ -102,7 +99,6 @@ __all__ = [
     "WallkitError",
     "bm_wall_test",
     "certified_wall_types",
-    "configured_max_cells",
     "direct_sum",
     "disc_class",
     "discriminant_group",
@@ -123,12 +119,10 @@ __all__ = [
     "markman_wall_test",
     "orthogonal_complement",
     "same_orbit",
-    "saturation",
     "short_vectors",
     "signature",
     "standard_lattice",
     "supporting_walls_report",
-    "verify_all",
     "verify_fixture",
     "wall_test",
     "wall_type_exists",

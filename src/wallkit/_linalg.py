@@ -11,7 +11,6 @@ in a rank-24 lattice costs rows times nonzeros, not rows times columns.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InternalError
@@ -290,43 +289,28 @@ def solve_fraction_free(m: Sequence[Sequence[int]], b: Sequence[int]):
 
 
 def signature_of(gram: Sequence[Sequence[int]]) -> tuple[int, int]:
-    """Inertia (n_+, n_-) of a nondegenerate symmetric matrix, exactly.
+    """Inertia (n_+, n_-) of a nondegenerate symmetric integer matrix.
 
-    Symmetric elimination over Fraction; a zero diagonal is repaired with
-    the congruence e_i -> e_i + e_j, which is valid because some
-    off-diagonal entry survives whenever the form is nondegenerate.
-    Raises ValueError on a degenerate form.
+    Faddeev-LeVerrier gives det(xI - G) = x^n + c_1 x^(n-1) + ... + c_n in
+    integers: c_k = -tr(G M_k) / k with M_1 = I and M_(k+1) = G M_k + c_k I,
+    and every division is exact.  A symmetric matrix has only real
+    eigenvalues, so Descartes' rule counts them exactly: n_+ is the number
+    of sign changes among the nonzero coefficients.  Raises ValueError on a
+    degenerate form (c_n = 0).
     """
     n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    act = list(range(n))
-    pos = neg = 0
-    while act:
-        piv = next((i for i in act if a[i][i] != 0), None)
-        if piv is None:
-            pair = next(
-                ((i, j) for i in act for j in act if i != j and a[i][j] != 0), None
-            )
-            if pair is None:
-                raise ValueError("degenerate symmetric form")
-            i, j = pair
-            aii, aij, ajj = a[i][i], a[i][j], a[j][j]
-            for k in act:
-                if k != i:
-                    a[i][k] += a[j][k]
-                    a[k][i] = a[i][k]
-            a[i][i] = aii + 2 * aij + ajj
-            continue
-        d = a[piv][piv]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        act.remove(piv)
-        for x in act:
-            for y in act:
-                a[x][y] -= a[x][piv] * a[piv][y] / d
-        for x in act:
-            a[x][piv] = Fraction(0)
-            a[piv][x] = Fraction(0)
-    return pos, neg
+    coeffs = [1]
+    gm = gram
+    for k in range(1, n + 1):
+        c, r = divmod(-sum(gm[i][i] for i in range(n)), k)
+        if r:
+            raise InternalError(f"Faddeev-LeVerrier trace not divisible by {k}: {gram}")
+        coeffs.append(c)
+        if k < n:
+            m = [[x + c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(gm)]
+            gm = mat_mul(gram, m)
+    if coeffs[-1] == 0:
+        raise ValueError("degenerate symmetric form")
+    signs = [c > 0 for c in coeffs if c]
+    pos = sum(a != b for a, b in zip(signs, signs[1:]))
+    return pos, n - pos

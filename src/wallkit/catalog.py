@@ -196,12 +196,11 @@ def _check_minus_two_curve(fx: dict, rec: _Recorder, seed: int) -> None:
 
 def _chamber_case(case: dict, rec: _Recorder, tag: str, certified: bool):
     """Check one frozen chamber; return its Picard data and support report."""
-    P = parse_chamber_query(case)["P"]
-    ctx = P.ctx
+    query = parse_chamber_query(case)
+    P = query["P"]
+    ctx, omega = P.ctx, P.omega_ref
     types = wl.certified_wall_types(ctx) if certified else wl.enumerate_wall_types(ctx)
-    bound = case.get("bound", 12)
-    omega = P.omega_ref
-    rep = cg.supporting_walls_report(P, omega, types, search_bound=bound)
+    rep = cg.supporting_walls_report(P, omega, types, search_bound=query["bound"])
     expected_walls = {
         (tuple(w["D"]), w["square"], w["div"]) for w in case["supporting"]
     }
@@ -278,7 +277,7 @@ def _check_p2(fx: dict, rec: _Recorder, seed: int) -> None:
     rec.add("walls-between-self", [], cg.walls_between(P, alpha, alpha, wl.enumerate_wall_types(ctx)))
 
     try:
-        cg.supporting_walls_report(P, tuple(fx["on_wall_reference"]), wl.enumerate_wall_types(ctx), search_bound=12)
+        cg.supporting_walls_report(P, tuple(fx["on_wall_reference"]), wl.enumerate_wall_types(ctx))
         rec.true("on-wall-rejected", False)
     except OnWallError as exc:
         named = exc.wall
@@ -438,10 +437,6 @@ def verify_fixture(name: str, seed: int = 0) -> FixtureReport:
     rec = _Recorder()
     _CHECKERS[name](fx, rec, seed)
     return FixtureReport(fixture=name, assertions=tuple(rec.items))
-
-
-def verify_all(seed: int = 0) -> list[FixtureReport]:
-    return [verify_fixture(name, seed=seed) for name in FIXTURE_ORDER]
 
 
 # ------------------------------------------------------------------ emission

@@ -80,6 +80,7 @@ __all__ = [
 ]
 
 MAX_PICARD_RANK = 5
+DEFAULT_SEARCH_BOUND = 12  # supporting-wall box height when a query names none
 
 
 @dataclass(frozen=True)
@@ -141,9 +142,7 @@ class PicardData:
         )
 
     def div_of(self, coords) -> int:
-        """Divisibility in L_n (not in pic) of an integral pic class."""
-        if isinstance(coords, LatticeVector):
-            coords = coords.coords
+        """Divisibility in L_n (not in pic) of integral pic coordinates."""
         d = gcd(*la.mat_vec(self._div_basis, coords))
         if d == 0:
             raise InputError("divisibility undefined: vector pairs trivially with lattice")
@@ -821,7 +820,7 @@ def _facet_walls(P, omega, cands, budget):
 
 
 def supporting_walls_report(
-    P: PicardData, omega, types, search_bound: int = 12, max_cells=None
+    P: PicardData, omega, types, search_bound: int = DEFAULT_SEARCH_BOUND, max_cells=None
 ) -> SupportResult:
     """Walls whose hyperplanes carry facets of the chamber of omega.
 
@@ -884,23 +883,18 @@ def extremal_rays(report: SupportResult) -> list[ExtremalRay]:
     ]
 
 
-def in_dual_cone(P: PicardData, walls, x, omega=None) -> bool:
-    """Strict chamber-side test: (D, x) > 0 for every wall in the set and
-    (x, omega) >= 0.
+def in_dual_cone(P: PicardData, walls, x) -> bool:
+    """Strict chamber-side test: (D, x) > 0 for every report `Wall` in the
+    set and (x, omega) >= 0 for P's reference class omega.
 
     Walls are taken with the orientation they carry (reports orient them
     toward the reference class), so a True answer places x strictly
     inside the open cone they cut out, on the reference side.  Classes on
     a wall (zero pairing) fail, by design.
     """
-    om = P.omega_ref if omega is None else _fracs(P, omega)
-    if om is None:
+    if P.omega_ref is None:
         raise ConfigurationError("dual-cone test needs a reference class")
     xf = _fracs(P, x)
-    if P.pic.inner(xf, _primitive_int(om)) < 0:
+    if P.pic.inner(xf, _primitive_int(P.omega_ref)) < 0:
         return False
-    for w in walls:
-        coords = w.D.coords if isinstance(w, Wall) else P.pic.vector(w).coords
-        if P.pic.inner(coords, xf) <= 0:
-            return False
-    return True
+    return all(P.pic.inner(w.D.coords, xf) > 0 for w in walls)

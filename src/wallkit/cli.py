@@ -206,7 +206,7 @@ def cmd_orbit(args) -> int:
     w = fmt.parse_vector(payload["w"], ctx.ambient.rank)
     inv_v = wl.eichler_invariants(ctx.ambient, v)
     inv_w = wl.eichler_invariants(ctx.ambient, w)
-    same = wl.same_orbit(ctx.ambient, v, w)
+    same = inv_v == inv_w  # L_n splits off two hyperbolic planes
     result = {
         "n": args.n,
         "v": {"square": inv_v.square, "div": inv_v.div, "disc": list(inv_v.disc)},
@@ -235,9 +235,7 @@ def cmd_chamber(args) -> int:
     types = wl.certified_wall_types(ctx)
     omega = query["omega"]
 
-    support = cg.supporting_walls_report(
-        P, omega, types, search_bound=query.get("bound", 12)
-    )
+    support = cg.supporting_walls_report(P, omega, types, search_bound=query["bound"])
     rays = cg.extremal_rays(support)
     crossed = None
     if query["alpha"] is not None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .chambers import ExtremalRay, PicardData, SupportResult, Wall
+from .chambers import DEFAULT_SEARCH_BOUND, ExtremalRay, PicardData, SupportResult, Wall
 from .errors import InputError
 from .lattice import Embedding, IntegerLattice, parse_frac
 from .walls import WallType, WallWitness, make_context
@@ -185,8 +185,9 @@ def parse_chamber_query(obj) -> dict:
     """Decode a chamber query into ready-to-use objects.
 
     Expected keys: n, pic_gram, embed, omega; optional: alpha and beta
-    (together), bound, label.  Returns {"P": PicardData, "omega": ...,
-    "alpha": ..., "beta": ..., "bound": ...} with rational coordinate tuples.
+    (together), bound (default DEFAULT_SEARCH_BOUND), label.  Returns
+    {"P": PicardData, "omega": ..., "alpha": ..., "beta": ..., "bound": ...}
+    with rational coordinate tuples.
     """
     if not isinstance(obj, dict):
         raise InputError("chamber query must be a JSON object")
@@ -205,11 +206,9 @@ def parse_chamber_query(obj) -> dict:
         out["alpha"] = parse_rational_vector(obj["alpha"], pic.rank)
     if "beta" in obj:
         out["beta"] = parse_rational_vector(obj["beta"], pic.rank)
-    if "bound" in obj:
-        bound = _int(obj["bound"])
-        if bound < 1:
-            raise InputError("bound must be >= 1")
-        out["bound"] = bound
+    out["bound"] = _int(obj.get("bound", DEFAULT_SEARCH_BOUND))
+    if out["bound"] < 1:
+        raise InputError("bound must be >= 1")
     return out
 
 

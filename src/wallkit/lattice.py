@@ -23,17 +23,12 @@ __all__ = [
     "DiscriminantGroup",
     "direct_sum",
     "standard_lattice",
-    "smith_normal_form",
     "discriminant_group",
     "divisibility",
     "disc_class",
     "orthogonal_complement",
-    "saturation",
     "signature",
 ]
-
-smith_normal_form = la.smith_normal_form
-
 
 @dataclass(frozen=True)
 class IntegerLattice:
@@ -424,24 +419,6 @@ def orthogonal_complement(
     induced = la.mat_mul(la.mat_mul(basis, lattice.gram), matrix)
     sub = IntegerLattice(induced, label=f"({lattice.label or 'L'})-perp")
     return Embedding(source=sub, target=lattice, matrix=matrix)
-
-
-def saturation(lattice: IntegerLattice, sub) -> Embedding:
-    """Saturation of a sublattice: smallest primitive sublattice containing it.
-
-    `sub` is an Embedding into `lattice` or a coordinate matrix whose
-    columns span the sublattice.  A primitive input is returned unchanged
-    (same basis), so the operation is idempotent on its image.
-    """
-    if isinstance(sub, Embedding):
-        if sub.target != lattice:
-            raise InputError("embedding target does not match lattice")
-        sat, _ = _saturate(lattice, sub.matrix)
-        return sub if sat.matrix == sub.matrix else sat
-    matrix = tuple(tuple(int(x) for x in row) for row in sub)
-    if len(matrix) != lattice.rank:
-        raise InputError("sublattice matrix must have one row per lattice coordinate")
-    return _saturate(lattice, matrix)[0]
 
 
 def _saturate(lattice: IntegerLattice, matrix) -> tuple[Embedding, la.IntMatrix]:

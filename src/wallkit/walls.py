@@ -433,10 +433,7 @@ def wall_type_exists(ctx: NContext, square: int, div: int) -> tuple[bool, Lattic
     class [D/div]; sufficiency from the explicit witness returned here,
     supported on a hyperbolic plane plus the rank-1 tail.
     """
-    if square >= 0 or square % 2:
-        raise InputError("wall type square must be negative and even")
-    if div < 1:
-        raise InputError("wall type divisibility must be >= 1")
+    WallType(square, div)  # InputError unless square < 0 is even and div >= 1
     n = ctx.n
     period = 2 * n - 2
     if period % div:
@@ -523,23 +520,15 @@ def eichler_invariants(lattice: IntegerLattice, v) -> OrbitInvariants:
     )
 
 
-def _has_two_hyperbolic_blocks(lattice: IntegerLattice) -> bool:
-    return sum(1 for b in lattice.blocks if b == "U") >= 2
-
-
-def same_orbit(lattice: IntegerLattice, v, w, assume_two_u: bool = False) -> bool:
+def same_orbit(lattice: IntegerLattice, v, w) -> bool:
     """Orbit equality test via the invariant triple.
 
-    Valid when the lattice splits off two orthogonal hyperbolic planes;
-    this is checked against the constructor block tags unless the caller
-    vouches with assume_two_u=True.
+    Valid when the lattice splits off two orthogonal hyperbolic planes,
+    read off its block tags (`standard_lattice`, `direct_sum` and
+    `IntegerLattice(..., blocks=...)` set them).
     """
-    if not assume_two_u and not _has_two_hyperbolic_blocks(lattice):
-        raise InputError(
-            "orbit comparison needs a lattice with two hyperbolic plane "
-            "summands (build via standard_lattice/direct_sum, or pass "
-            "assume_two_u=True)"
-        )
+    if lattice.blocks.count("U") < 2:
+        raise InputError("orbit comparison needs a lattice tagged with two hyperbolic plane (U) blocks")
     return eichler_invariants(lattice, v) == eichler_invariants(lattice, w)
 
 

@@ -19,9 +19,13 @@ from wallkit.catalog import (
     report_json,
     report_junit,
     report_text,
-    verify_all,
     verify_fixture,
 )
+
+
+def verify_all(seed=0):
+    return [verify_fixture(name, seed=seed) for name in list_fixtures()]
+
 
 EXPECTED_NAMES = (
     "delta",

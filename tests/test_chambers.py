@@ -449,44 +449,21 @@ class TestDualCone:
         # H pairs to zero with the tail wall, so it sits on the boundary
         assert not in_dual_cone(P, walls, (1, 0))
 
-    def test_raw_coordinate_walls_accepted(self):
-        P = p2_data()
-        assert in_dual_cone(P, [(0, 1)], (1, -1))
-        assert not in_dual_cone(P, [(0, 1)], (1, 0))
-
     def test_needs_reference(self):
         P = p2_data(omega=None)
         with pytest.raises(ConfigurationError):
             in_dual_cone(P, [], (1, 0))
-        # an explicit reference substitutes for the missing field
-        assert in_dual_cone(P, [], (1, 0), omega=(2, -1))
 
     def test_wrong_side_of_reference_fails(self):
         P = p2_data()
         assert not in_dual_cone(P, [], (-2, 1))
 
-    @pytest.mark.parametrize("wall", [(Fraction(3, 2), Fraction(1, 2)), (2.7, 0)])
-    def test_non_integral_raw_wall_rejected(self, wall):
-        # truncated to (1, 0), the wall would let (2, -1) pass
-        P = p2_data()
-        with pytest.raises(InputError, match="coordinates must be integers"):
-            in_dual_cone(P, [wall], (2, -1))
-
-    @pytest.mark.parametrize("wall", [(False, True), (0.0, 1.0)], ids=["bool", "float"])
-    def test_bool_and_float_raw_wall_rejected(self, wall):
-        # read as (0, 1), the wall would let (2, -1) pass
-        P = p2_data()
-        assert in_dual_cone(P, [(0, 1)], (2, -1))
-        with pytest.raises(InputError, match="coordinates must be integers"):
-            in_dual_cone(P, [wall], (2, -1))
-
     @pytest.mark.parametrize("bad", BAD_COORDINATES)
     def test_non_exact_coordinate_rejected(self, bad):
         P = p2_data()
+        walls = supporting_walls_report(P, P.omega_ref, enumerate_wall_types(P.ctx)).walls
         with pytest.raises(InputError, match="not a rational"):
-            in_dual_cone(P, [(0, 1)], (bad, -1))
-        with pytest.raises(InputError, match="not a rational"):
-            in_dual_cone(P, [(0, 1)], (2, -1), omega=(bad, -1))
+            in_dual_cone(P, walls, (bad, -1))
 
 
 class TestPositiveClass:

@@ -538,6 +538,44 @@ class TestChamber:
         )
 
 
+# Known wrong answer (ROADMAP item 11): from n = 7 on, being a wall depends
+# on the Eichler orbit of D, not only on (square, div).  Both columns below
+# have square -588 and div 12; wall-test detects the first and not its c = 1
+# twin, yet the chamber reports of the two Picard lattices agree today.
+ITEM11_WALL = {0: 12, 1: -12, 22: 5}
+ITEM11_TWIN = {0: 12, 1: -24, 22: 1}
+
+
+def item11_report(capsys, column):
+    """(exact, {(D, square, div)}) of the n = 7 chamber query on <2> + <-588>."""
+    query = chamber_query([[2, 0], [0, -588]], [{2: 1, 3: 1}, column], [1, "1/1000"], n=7)
+    code, out, _ = run(capsys, "chamber", "--format", "json", "--input", query)
+    assert code == 0
+    report = json.loads(out)
+    return report["exact"], {(tuple(w["D"]), w["square"], w["div"]) for w in report["supporting"]}
+
+
+class TestOrbitDependentWalls:
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 11")
+    def test_wall_class_bounds_the_chamber(self, capsys):
+        # today: (12, -1) and (12, 1), both of type (-300, 12)
+        assert item11_report(capsys, ITEM11_WALL) == (
+            True,
+            {((0, -1), -588, 12), ((12, 1), -300, 12)},
+        )
+
+    def test_twin_keeps_its_report(self, capsys):
+        assert item11_report(capsys, ITEM11_TWIN) == (
+            True,
+            {((12, -1), -300, 12), ((12, 1), -300, 12)},
+        )
+
+    @pytest.mark.parametrize("column, code", [(ITEM11_WALL, 0), (ITEM11_TWIN, 1)], ids=["wall", "twin"])
+    def test_wall_test_tells_the_twins_apart(self, capsys, column, code):
+        payload = json.dumps({"coords": ambient_coords(column)})
+        assert run(capsys, "wall-test", "--n", "7", "--quiet", "--input", payload)[0] == code
+
+
 # ------------------------------------------------------------------- verify
 
 

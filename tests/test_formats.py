@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from wallkit import InputError, WallType, make_context
+from wallkit.chambers import DEFAULT_SEARCH_BOUND
 from wallkit.formats import (
     CSV_HEADER,
     embedding_from_json,
@@ -164,7 +165,7 @@ class TestChamberQuery:
         assert out["P"].pic.rank == 2
         assert out["omega"] == (Fraction(2), Fraction(-1))
         assert out["alpha"] is None and out["beta"] is None
-        assert "bound" not in out
+        assert out["bound"] == DEFAULT_SEARCH_BOUND == 12
 
     def test_optional_segment_and_bound(self):
         out = parse_chamber_query(

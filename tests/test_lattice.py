@@ -19,10 +19,10 @@ from wallkit import (
     divisibility,
     make_context,
     orthogonal_complement,
-    saturation,
     signature,
     standard_lattice,
 )
+from wallkit.lattice import _saturate
 
 
 U = standard_lattice("U")
@@ -201,13 +201,13 @@ class TestSublattices:
             cols = tuple(zip(*vecs))  # vectors as columns
             if not any(any(v) for v in vecs):
                 continue
-            sat = saturation(L, cols)
-            again = saturation(L, sat)
+            sat = _saturate(L, cols)[0]
+            again = _saturate(L, sat.matrix)[0]
             assert sat.matrix == again.matrix
 
     def test_saturation_recovers_full_multiple(self):
         # span{2e} saturates to span{e}
-        sat = saturation(U, ((2,), (0,)))
+        sat = _saturate(U, ((2,), (0,)))[0]
         assert _columns(sat) == [(1, 0)]
 
     def test_broken_smith_identity_is_internal_error(self, monkeypatch):
@@ -219,7 +219,7 @@ class TestSublattices:
 
         monkeypatch.setattr(la, "smith_normal_form", broken)
         with pytest.raises(InternalError):
-            saturation(U, ((2,), (0,)))
+            _saturate(U, ((2,), (0,)))
 
     def test_complement_pairs_to_zero(self):
         rng = random.Random(19)

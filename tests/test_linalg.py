@@ -20,7 +20,6 @@ from wallkit import (
     direct_sum,
     discriminant_group,
     orthogonal_complement,
-    saturation,
     standard_lattice,
 )
 from wallkit.lattice import _saturate
@@ -340,14 +339,12 @@ class TestSmithInverses:
             L = even_lattice(rows)
             p, d, _ = la.smith_normal_form(m)
             rk = sum(1 for i in range(min(rows, cols)) if d[i][i])
-            sat = saturation(L, m)
+            sat, coords = _saturate(L, m)
             if rk == 0:
                 assert sat.source.rank == 0 and sat.matrix == ((),) * rows
                 zero += 1
                 continue
-            emb, coords = _saturate(L, m)
-            assert emb.matrix == sat.matrix
-            assert la.mat_mul(emb.matrix, coords) == m  # columns in the saturated basis
+            assert la.mat_mul(sat.matrix, coords) == m  # columns in the saturated basis
             if rk == cols and all(d[i][i] == 1 for i in range(rk)):
                 assert sat.matrix == m  # primitive input keeps its basis
                 continue
@@ -392,6 +389,55 @@ class TestSmithInverses:
         )
 
 
+def signature_fraction(gram):
+    """Inertia (n_+, n_-) of a nondegenerate symmetric matrix by symmetric
+    elimination over Fraction, repairing a zero diagonal with the congruence
+    e_i -> e_i + e_j.  The library computed signatures this way before it
+    read them off the integer characteristic polynomial; it stays here as
+    the oracle.  Raises ValueError on a degenerate form.
+    """
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    act = list(range(n))
+    pos = neg = 0
+    while act:
+        piv = next((i for i in act if a[i][i] != 0), None)
+        if piv is None:
+            pair = next(
+                ((i, j) for i in act for j in act if i != j and a[i][j] != 0), None
+            )
+            if pair is None:
+                raise ValueError("degenerate symmetric form")
+            i, j = pair
+            aii, aij, ajj = a[i][i], a[i][j], a[j][j]
+            for k in act:
+                if k != i:
+                    a[i][k] += a[j][k]
+                    a[k][i] = a[i][k]
+            a[i][i] = aii + 2 * aij + ajj
+            continue
+        d = a[piv][piv]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        act.remove(piv)
+        for x in act:
+            for y in act:
+                a[x][y] -= a[x][piv] * a[piv][y] / d
+        for x in act:
+            a[x][piv] = Fraction(0)
+            a[piv][x] = Fraction(0)
+    return pos, neg
+
+
+def signature_or_error(f, gram):
+    try:
+        return f(gram)
+    except ValueError as exc:
+        return str(exc)
+
+
 class TestSignature:
     def test_known_forms(self):
         assert la.signature_of(((0, 1), (1, 0))) == (1, 1)
@@ -420,6 +466,50 @@ class TestSignature:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             la.signature_of(((0, 0), (0, 2)))
+
+    def test_matches_fraction_oracle(self):
+        # plain, zero-diagonal and degenerate (C^T S C with C of n-1 rows)
+        # symmetric forms of rank 1..8
+        rng = random.Random(67)
+        kinds = {"plain": 0, "zero-diagonal": 0, "degenerate": 0}
+        for _ in range(2400):
+            kind = rng.choice(sorted(kinds))
+            n = rng.randint(2 if kind == "degenerate" else 1, 8)
+            if kind == "degenerate":
+                c = rand_matrix(rng, n - 1, n, -2, 2)
+                g = la.mat_mul(la.mat_mul(la.transpose(c), rand_symmetric(rng, n - 1, -3, 3)), c)
+            else:
+                g = rand_symmetric(rng, n, -3, 3)
+                if kind == "zero-diagonal":
+                    g = tuple(tuple(0 if i == j else x for j, x in enumerate(row)) for i, row in enumerate(g))
+            want = signature_or_error(signature_fraction, g)
+            assert signature_or_error(la.signature_of, g) == want, g
+            kinds[kind] += 1
+        assert min(kinds.values()) > 700
+
+    @pytest.mark.parametrize(
+        "gram",
+        [((0, 1, 1), (1, 0, 1), (1, 1, 0)), ((0,),), ((0, 1, 0), (1, 0, 0), (0, 0, 0))]
+        + [standard_lattice("Ln", n).gram for n in range(2, 11)]
+        + [standard_lattice("mukai").gram],
+        ids=["zero-diagonal", "zero", "degenerate"] + [f"L{n}" for n in range(2, 11)] + ["mukai"],
+    )
+    def test_named_forms_match_fraction_oracle(self, gram):
+        assert signature_or_error(la.signature_of, gram) == signature_or_error(signature_fraction, gram)
+
+    def test_inexact_trace_is_internal_error(self, monkeypatch):
+        # an integer matrix has an integer characteristic polynomial, so a
+        # trace that k does not divide is a broken invariant, not bad input
+        real = la.mat_mul
+
+        def broken(a, b):
+            out = [list(row) for row in real(a, b)]
+            out[0][0] += 1
+            return tuple(map(tuple, out))
+
+        monkeypatch.setattr(la, "mat_mul", broken)
+        with pytest.raises(InternalError, match="not divisible"):
+            la.signature_of(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 def large_omega(rng, pic):

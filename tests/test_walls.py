@@ -451,8 +451,6 @@ class TestOrbits:
         L = direct_sum([standard_lattice("U"), standard_lattice("rank1", -2)])
         with pytest.raises(InputError):
             same_orbit(L, (1, 0, 0), (0, 1, 0))
-        # vouching flag bypasses the block check
-        assert same_orbit(L, (1, 0, 0), (1, 0, 0), assume_two_u=True)
 
     def test_transvection_requires_isotropic_direction(self):
         ctx = make_context(2)
