@@ -108,9 +108,7 @@ class PicardData:
         if signature(self.pic) != (1, self.pic.rank - 1):
             raise InputError("Picard lattice must have signature (1, rank-1)")
         if self.omega_ref is not None:
-            om = tuple(map(parse_frac, self.omega_ref))
-            if len(om) != self.pic.rank:
-                raise InputError("reference class has wrong length")
+            om = _fracs(self, self.omega_ref, "reference class")
             if self.pic.norm(om) <= 0:
                 raise InputError("reference class must have positive square")
             object.__setattr__(self, "omega_ref", om)
@@ -182,10 +180,13 @@ class ExtremalRay:
 # ----------------------------------------------------------------- helpers
 
 
-def _fracs(P: PicardData, x) -> tuple[Fraction, ...]:
+def _fracs(P: PicardData, x, what: str = "class") -> tuple[Fraction, ...]:
+    """Rational pic coordinates of x; a str or bytes is not a sequence."""
+    if isinstance(x, (str, bytes)) or not hasattr(x, "__iter__"):
+        raise InputError(f"{what} must be a coordinate sequence, got {x!r}")
     out = tuple(map(parse_frac, x))
     if len(out) != P.pic.rank:
-        raise InputError("class has wrong coordinate length")
+        raise InputError(f"{what} has wrong coordinate length")
     return out
 
 
@@ -448,17 +449,19 @@ def _sup_positive_witness(
     toward . x > 0, as the integer pair (num, den) with den > 0, or None.
 
     The cone is lineality + cone(rays) and lies in the hyperplane
-    normal . x = 0; `facets` are the rows cutting out its facets there, and
-    `toward` is positive on omega's component of the positive cone.
-    Lineality directions are eliminated one at a time (positive direction,
-    walk along a null one, or Schur complement, which carries `toward`
-    along); the pointed rest is decided on the base polytope phi . x = 1
-    of the hyperplane.  In omega's component sqrt(q) is strictly concave
-    (reverse Cauchy-Schwarz), so the maximiser there is unique: the
-    stationary point of q on the span of its face, which `normal` and a
-    subset of the facet rows cut out.  It runs in integers: the Schur step
-    scales the form and `toward` by -q(l) > 0, keeping signs and argmax,
-    and q(num) / den^2 compares cross-multiplied.
+    normal . x = 0; `facets` are the rows cutting out its facets there,
+    every row vanishes on the lineality, and `toward` is positive on
+    omega's component of the positive cone.  A lineality direction l is a
+    witness when q(l) > 0 and starts a walk when null; when q(l) < 0 each
+    ray and remaining direction x becomes q(l, x) l - q(l) x, -q(l) times
+    its q-orthogonal part, which keeps the signs of q and `toward`, and
+    `scale` keeps -q(l) so that a later direction is the same point.  The
+    pointed rest is decided on the base polytope phi . x = 1.  In omega's
+    component sqrt(q) is strictly concave (reverse Cauchy-Schwarz), so the
+    maximiser there is unique: a ray, or the stationary point of q on the
+    span of a face, cut out by A = (phi, normal, some facet rows) and
+    solved at once from [[G, A^T], [A, 0]] (x, lam) = (0, (1, 0, ...)).
+    q(num) / den^2 compares cross-multiplied.
     """
 
     def q(x, y=None):
@@ -470,13 +473,14 @@ def _sup_positive_witness(
     def neg(x):
         return tuple(-c for c in x)
 
-    if lineality:
-        l, *rest = lineality
+    scale = 1
+    while lineality:
+        l, *lineality = lineality
         if side(l) < 0:
             l = neg(l)
         ql = q(l)
         if ql > 0:
-            return l, 1
+            return l, scale
         if ql == 0:
             # l is null and points into omega's component, so every cone
             # point in that component pairs positively with l; walk such a
@@ -488,21 +492,14 @@ def _sup_positive_witness(
             for k in range(_MAX_STEPS):
                 x = tuple(a + (b << k) for a, b in zip(partner, l))
                 if q(x) > 0:
-                    return x, 1
+                    return x, scale
             raise InternalError("unbounded direction failed to verify")
-        # ql < 0: optimize the l-component away (Schur complement, times -ql)
-        gl = la.mat_vec(gram, l)
-        schur = tuple(
-            tuple(a * b - ql * g for g, b in zip(row, gl)) for row, a in zip(gram, gl)
+        # ql < 0: project l off every direction, times -ql
+        rays, lineality = (
+            [tuple(q(l, x) * b - ql * a for a, b in zip(x, l)) for x in xs]
+            for xs in (rays, lineality)
         )
-        sub_toward = tuple(side(l) * g - ql * h for h, g in zip(toward, gl))
-        sub = _sup_positive_witness(schur, rays, rest, phi, normal, facets, sub_toward, budget)
-        if sub is None:
-            return None
-        # num / den + t l with t = -q(l, num) / (ql den)
-        num, den = sub
-        t = q(l, num)
-        return tuple(t * b - ql * a for a, b in zip(num, l)), -ql * den
+        scale *= -ql
 
     candidates = []
     for r in rays:
@@ -510,24 +507,16 @@ def _sup_positive_witness(
         if pv <= 0:
             raise InternalError("base functional not positive on ray")
         candidates.append((r, pv))
-    for size in range(len(gram) - 1):
+    n = len(gram)
+    for size in range(n - 1):
         for subset in itertools.combinations(facets, size):
             budget.spend()
             rows = [phi, normal, *subset]
-            sol = la.solve_fraction_free(rows, [1, 0] + [0] * size)
-            if sol is None:
-                continue
-            null = la.kernel_basis([_primitive(row) for row in rows])
-            if null:
-                # mu's system times d0: x0 / d0 + sum mu_k null_k / (dm d0)
-                x0, d0 = sol
-                gn = [[q(ni, nj) for nj in null] for ni in null]
-                mu = la.solve_fraction_free(gn, [-q(ni, x0) for ni in null])
-                if mu is None:
-                    continue
-                m, dm = mu
-                sol = tuple(dm * x + _dot(m, col) for x, col in zip(x0, zip(*null))), dm * d0
-            candidates.append(sol)
+            border = [[*g, *col] for g, col in zip(gram, zip(*rows))]
+            border += [[*row, *[0] * len(rows)] for row in rows]
+            sol = la.solve_fraction_free(border, [0] * n + [1] + [0] * (size + 1))
+            if sol is not None:
+                candidates.append((sol[0][:n], sol[1]))
     best = None
     for num, den in candidates:
         if side(num) <= 0 or any(_dot(row, num) < 0 for row in facets):

@@ -16,7 +16,7 @@ import functools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import ceil, floor, gcd, isqrt
+from math import gcd, isqrt
 
 from . import _linalg as la
 from .errors import InputError, InternalError
@@ -285,33 +285,17 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _quad_roots(a: int, b: int, c: int) -> list[int]:
-    """Integer roots of a k^2 + b k + c = 0 (a != 0), ascending."""
+def _quad_window(a: int, b: int, c: int) -> range:
+    """The integers k with a k^2 + b k + c >= 0, for a < 0, ascending.
+
+    With A = -2a and s = isqrt(b^2 - 4ac) they run from ceil((b - s) / A)
+    to floor((b + s) / A): each bound compares an integer with the square
+    root of the discriminant, and s <= sqrt(disc) < s + 1 decides that."""
     disc = b * b - 4 * a * c
     if disc < 0:
-        return []
-    s = isqrt(disc)
-    if s * s != disc:
-        return []
-    out = set()
-    for sgn in (1, -1):
-        num = -b + sgn * s
-        if num % (2 * a) == 0:
-            out.add(num // (2 * a))
-    return sorted(out)
-
-
-def _quad_nonneg_range(a: int, b: int, c: int) -> list[int]:
-    """All integer k with a k^2 + b k + c >= 0, for a < 0 (a finite list)."""
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return []
-    center = Fraction(-b, 2 * a)
-    half = Fraction(disc, 4 * a * a)
-    m = isqrt(half.numerator // half.denominator) + 1
-    lo = floor(center) - m
-    hi = ceil(center) + m
-    return [k for k in range(lo, hi + 1) if a * k * k + b * k + c >= 0]
+        return range(0)
+    s, A = isqrt(disc), -2 * a
+    return range(-((s - b) // A), (b + s) // A + 1)
 
 
 def bm_wall_test(T: IntegerLattice, v_in_T: LatticeVector) -> WallWitness | None:
@@ -375,15 +359,18 @@ def bm_wall_test(T: IntegerLattice, v_in_T: LatticeVector) -> WallWitness | None
                 continue
             w0 = particular(p)
             a, b, c = line_quad(w0)
-            for k in _quad_roots(a, b, c - sq):
-                return WallWitness(cond, (vec(w0, k),), (sq, p), against=v)
+            # an integer root of the downward parabola ends its window
+            window = _quad_window(a, b, c - sq)
+            for k in (window[0], window[-1]) if window else ():
+                if a * k * k + b * k + c == sq:
+                    return WallWitness(cond, (vec(w0, k),), (sq, p), against=v)
 
     for pt in range(1, vsq):
         if pt % dv:
             continue
         t0 = particular(pt)
         a, b, c = line_quad(t0)
-        for k in _quad_nonneg_range(a, b, c):
+        for k in _quad_window(a, b, c):
             t = vec(t0, k)
             w = v - t
             if T.norm(w.coords) >= 0:

@@ -7,6 +7,7 @@ import json
 import random
 import time
 import typing
+from collections import Counter
 from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -497,6 +498,27 @@ class TestPositiveClass:
     def test_non_exact_reference_rejected(self, bad):
         with pytest.raises(InputError, match="not a rational"):
             replace(p2_data(), omega_ref=(bad, -1))
+
+
+class TestCoordinateSequence:
+    # a str is one value, not a sequence of digits: "21" was read as
+    # (2, 1); a number raised TypeError
+    @pytest.mark.parametrize("bare", ["21", b"21", 21], ids=["str", "bytes", "int"])
+    def test_every_reader_rejects(self, bare):
+        P = p2_data()
+        types = enumerate_wall_types(P.ctx)
+        walls = supporting_walls_report(P, P.omega_ref, types).walls
+        with pytest.raises(InputError, match="reference class must be a coordinate sequence"):
+            replace(P, omega_ref=bare)
+        for call in (
+            lambda: supporting_walls_report(P, bare, types),
+            lambda: walls_between(P, bare, (3, 1), types),
+            lambda: walls_between(P, (2, 1), bare, types),
+            lambda: is_positive_class(P, bare),
+            lambda: in_dual_cone(P, walls, bare),
+        ):
+            with pytest.raises(InputError, match="class must be a coordinate sequence"):
+                call()
 
 
 # ----------------------------------------------------------- on-wall handling
@@ -1520,12 +1542,12 @@ class TestSupPositiveWitness:
             # a null direction that pairs with nothing in the cone
             pytest.param(U2, [(0, 0, 1)], [(1, 0, 0)], (0, 0, 1), (0, 1, 0), [], (1, 1, 0),
                          None, id="ql-null-no-partner"),
-            # a negative direction: Schur step, then the base segment
-            # x1 + x2 = 1 peaks at (1/2, 1/2)
+            # a negative direction, projected off the rays, then the base
+            # segment x1 + x2 = 1 peaks at (1/2, 1/2)
             pytest.param(U22, [(1, 0, 0, 0), (0, 1, 0, 0)], [(0, 0, 1, 0)], (1, 1, 0, 0),
                          (0, 0, 0, 1), [(1, 0, 0, 0), (0, 1, 0, 0)], (1, 1, 1, 0),
                          (Fraction(1, 2), Fraction(1, 2), 0, 0), id="ql-negative-schur"),
-            # the Schur step leaves the isotropic ray e1 alone: nothing positive
+            # projecting e3 off leaves the isotropic ray e1: nothing positive
             pytest.param(U22, [(1, 0, 0, 0)], [(0, 0, 1, 0)], (1, 0, 0, 0), (0, 0, 0, 1), [],
                          (1, 1, 1, 0), None, id="ql-negative-none"),
             # pointed: every candidate on the wrong side of toward
@@ -1558,8 +1580,7 @@ class TestSupPositiveWitness:
 
     def test_recorded_facets_match_oracle(self, monkeypatch):
         # every facet decision of the recorded sweep's lineality queries
-        # and of a seeded sample of the rest, argument for argument, the
-        # Schur step's inner decisions included
+        # and of a seeded sample of the rest, argument for argument
         calls = []
         decide = chambers._sup_positive_witness
 
@@ -1583,3 +1604,188 @@ class TestSupPositiveWitness:
                 ql = la.vec_mat_vec(lineality[0], gram, lineality[0])
                 branches.add((ql > 0) - (ql < 0))
         assert {-1, 0} <= branches
+
+
+# ------------------------------------- facet decision against the Schur oracle
+
+
+def schur_sup_positive_witness(gram, rays, lineality, phi, normal, facets, toward, budget):
+    """The integer facet decision as it ran with a Schur complement per
+    negative lineality direction and, per face, a solve, a kernel basis
+    and a second solve on the kernel's Gram: the oracle of one bordered
+    solve per face and of lineality projected off the rays."""
+
+    def q(x, y=None):
+        return la.vec_mat_vec(x, gram, x if y is None else y)
+
+    def side(x):
+        return chambers._dot(toward, x)
+
+    def neg(x):
+        return tuple(-c for c in x)
+
+    if lineality:
+        l, *rest = lineality
+        if side(l) < 0:
+            l = neg(l)
+        ql = q(l)
+        if ql > 0:
+            return l, 1
+        if ql == 0:
+            pool = [*rays, *lineality, *map(neg, lineality)]
+            partner = next((y for y in pool if q(l, y) > 0), None)
+            if partner is None:
+                return None
+            for k in range(chambers._MAX_STEPS):
+                x = tuple(a + (b << k) for a, b in zip(partner, l))
+                if q(x) > 0:
+                    return x, 1
+            raise InternalError("unbounded direction failed to verify")
+        gl = la.mat_vec(gram, l)
+        schur = tuple(
+            tuple(a * b - ql * g for g, b in zip(row, gl)) for row, a in zip(gram, gl)
+        )
+        sub_toward = tuple(side(l) * g - ql * h for h, g in zip(toward, gl))
+        sub = schur_sup_positive_witness(
+            schur, rays, rest, phi, normal, facets, sub_toward, budget
+        )
+        if sub is None:
+            return None
+        num, den = sub
+        t = q(l, num)
+        return tuple(t * b - ql * a for a, b in zip(num, l)), -ql * den
+
+    candidates = []
+    for r in rays:
+        pv = chambers._dot(phi, r)
+        if pv <= 0:
+            raise InternalError("base functional not positive on ray")
+        candidates.append((r, pv))
+    for size in range(len(gram) - 1):
+        for subset in itertools.combinations(facets, size):
+            budget.spend()
+            rows = [phi, normal, *subset]
+            sol = la.solve_fraction_free(rows, [1, 0] + [0] * size)
+            if sol is None:
+                continue
+            null = la.kernel_basis([chambers._primitive(row) for row in rows])
+            if null:
+                x0, d0 = sol
+                gn = [[q(ni, nj) for nj in null] for ni in null]
+                mu = la.solve_fraction_free(gn, [-q(ni, x0) for ni in null])
+                if mu is None:
+                    continue
+                m, dm = mu
+                sol = (
+                    tuple(dm * x + chambers._dot(m, col) for x, col in zip(x0, zip(*null))),
+                    dm * d0,
+                )
+            candidates.append(sol)
+    best = None
+    for num, den in candidates:
+        if side(num) <= 0 or any(chambers._dot(row, num) < 0 for row in facets):
+            continue
+        val = q(num)
+        if best is None or val * best[2] ** 2 > best[0] * den * den:
+            best = (val, num, den)
+    if best is None or best[0] <= 0:
+        return None
+    return best[1], best[2]
+
+
+def lorentzian_form(rng, rank):
+    """A random integer form of signature (1, rank - 1): a diagonal one
+    moved by random elementary row-and-column operations."""
+    diag = [rng.randint(1, 4)] + [-rng.randint(1, 4) for _ in range(rank - 1)]
+    c = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    for _ in range(2 * rank):
+        i, j = rng.sample(range(rank), 2)
+        f = rng.choice((-1, 1))
+        c[i] = [a + f * b for a, b in zip(c[i], c[j])]
+    return tuple(
+        tuple(sum(c[k][i] * diag[k] * c[k][j] for k in range(rank)) for j in range(rank))
+        for i in range(rank)
+    )
+
+
+def random_facet_decisions(rng, rank):
+    """The slow-path arguments, budget aside, that `_facet_walls` builds
+    for every facet of a random candidate cone: candidates turned toward
+    a random positive omega, all in a random subspace of dimension at
+    most rank - 2, so that the cone's lineality has two or more
+    directions.  Every facet is decided, fast path or not."""
+    while True:
+        gram = lorentzian_form(rng, rank)
+        omegas = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(50)]
+        omega = next((w for w in omegas if la.vec_mat_vec(w, gram, w) > 0), None)
+        if omega:
+            break
+    basis = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(rng.randint(1, rank - 2))]
+    cands = set()
+    for _ in range(rng.randint(2, 6)):
+        y = [sum(rng.randint(-2, 2) * b[i] for b in basis) for i in range(rank)]
+        p = la.vec_mat_vec(y, gram, omega)
+        if p:
+            cands.add(tuple(c if p > 0 else -c for c in chambers._primitive(y)))
+    if len(cands) < 2:
+        return []
+    order = sorted(cands)
+    gy = {y: la.mat_vec(gram, y) for y in order}
+    rays, lin = chambers._dual_description([gy[y] for y in order], rank, CellBudget())
+    inc = {y: sum(1 << i for i, r in enumerate(rays) if chambers._dot(gy[y], r) == 0) for y in order}
+    facets = chambers._facets(inc)
+    toward = la.mat_vec(gram, omega)
+    out = []
+    for x in facets:
+        face = [r for i, r in enumerate(rays) if inc[x] >> i & 1]
+        ridges = [gy[y] for y in facets if y != x and chambers._adjacent(inc, facets, x, y)]
+        phi = tuple(map(sum, zip(*(gy[y] for y in order if y != x))))
+        out.append((gram, face, lin, phi, gy[x], ridges, toward))
+    return out
+
+
+def rational_decision(decide, args):
+    """decide's point as a Fraction tuple, None, or the InternalError it
+    raised, with the cells it spent."""
+    budget = CellBudget()
+    try:
+        got = decide(*args, budget)
+    except InternalError as exc:
+        return ("error", str(exc)), budget.used
+    if got is None:
+        return None, budget.used
+    num, den = got
+    assert den > 0
+    return tuple(Fraction(c, den) for c in num), budget.used
+
+
+def lineality_path(gram, lineality):
+    """The signs of q(l) met along the lineality: each negative direction
+    is Schur-complemented away, and a positive or null one ends the walk."""
+    path = []
+    for l in lineality:
+        ql = la.vec_mat_vec(l, gram, l)
+        path.append((ql > 0) - (ql < 0))
+        if ql >= 0:
+            break
+        gl = la.mat_vec(gram, l)
+        gram = tuple(tuple(a * b - ql * g for g, b in zip(row, gl)) for row, a in zip(gram, gl))
+    return tuple(path)
+
+
+class TestSupPositiveWitnessSweep:
+    def test_matches_schur_oracle(self):
+        # the same rational point (not only up to scale), the same None
+        # or error, and the same cells, on seeded random Lorentzian cones
+        rng = random.Random(29)
+        paths = Counter()
+        for _ in range(250):
+            for args in random_facet_decisions(rng, rng.randint(3, 5)):
+                got = rational_decision(chambers._sup_positive_witness, args)
+                assert got == rational_decision(schur_sup_positive_witness, args)
+                paths[len(args[2]) >= 2, lineality_path(args[0], args[2])] += 1
+        assert sum(k for (multi, _), k in paths.items() if multi) >= 100
+        assert {path[0] for _, path in paths if path} == {-1, 0, 1}
+        # a projection before each kind of lineality return: a positive
+        # direction and a null walk
+        assert {(-1, 1), (-1, 0)} <= {path[:2] for _, path in paths}

@@ -6,7 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -34,6 +34,7 @@ from wallkit import (
     wall_test,
     wall_type_exists,
 )
+from wallkit.walls import _quad_window
 
 
 def basis(rank, entries):
@@ -574,3 +575,133 @@ class TestContext:
     def test_bad_n(self):
         with pytest.raises(InputError):
             make_context(1)
+
+
+# ------------------------------------ line windows against the parent helpers
+
+
+def quad_roots(a, b, c):
+    """Integer roots of a k^2 + b k + c = 0 (a != 0), ascending: the
+    parent of `_quad_window`'s end test."""
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return []
+    s = isqrt(disc)
+    if s * s != disc:
+        return []
+    out = set()
+    for sgn in (1, -1):
+        num = -b + sgn * s
+        if num % (2 * a) == 0:
+            out.add(num // (2 * a))
+    return sorted(out)
+
+
+def quad_nonneg_range(a, b, c):
+    """All integer k with a k^2 + b k + c >= 0, for a < 0, bracketed over
+    Fraction: the parent of `_quad_window`."""
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return []
+    center = Fraction(-b, 2 * a)
+    half = Fraction(disc, 4 * a * a)
+    m = isqrt(half.numerator // half.denominator) + 1
+    lo = floor(center) - m
+    hi = ceil(center) + m
+    return [k for k in range(lo, hi + 1) if a * k * k + b * k + c >= 0]
+
+
+class TestQuadWindow:
+    def test_matches_parent_helpers(self):
+        # half the triples are random, half -m (p k - r) (k - r') with
+        # integer or half-integer roots, so the end test meets roots
+        rng = random.Random(29)
+        for i in range(20_000):
+            if i % 2:
+                a, b, c = -rng.randint(1, 30), rng.randint(-300, 300), rng.randint(-600, 600)
+            else:
+                m, p, r, r2 = rng.randint(1, 5), rng.randint(1, 4), rng.randint(-40, 40), rng.randint(-40, 40)
+                a, b, c = -m * p, m * (p * r2 + r), -m * r * r2
+            window = _quad_window(a, b, c)
+            assert list(window) == quad_nonneg_range(a, b, c)
+            ends = {window[0], window[-1]} if window else set()
+            assert sorted(k for k in ends if a * k * k + b * k + c == 0) == quad_roots(a, b, c)
+
+
+# ----------------------------------------- an independent one-condition oracle
+
+
+def one_condition_wall(ctx, D):
+    """Bayer-Macri's condition for K3^[n] type, searched directly: the
+    saturation T of <v, D> in the Mukai lattice holds s != 0 with
+    s^2 >= -2 and 0 <= (s, v) <= v^2/2.
+
+    v is primitive, so T = <v, t> with t = (D - alpha v) / beta, beta the
+    gcd of the 2x2 minors of [v | D] and alpha in [0, beta) the residue
+    that makes t integral.  On s = x v + y t the majorant
+    q_v(s) = -s^2 + 2 (s, v)^2 / v^2 = a x^2 + 2 b x y + (2 b^2 / a - c) y^2
+    (a, b, c = v^2, (v, t), t^2) is at most 2 + a / 2 on the region, and
+    the inverse of its matrix bounds a coordinate box around it."""
+    gram = ctx.mukai.gram
+    v, d = ctx.v.coords, ctx.embed.apply(D).coords
+    beta = gcd(*(v[i] * d[j] - v[j] * d[i] for i in range(len(v)) for j in range(i)))
+    alpha = next(
+        al for al in range(beta) if all((x - al * y) % beta == 0 for x, y in zip(d, v))
+    )
+    t = tuple((x - alpha * y) // beta for x, y in zip(d, v))
+    a, b, c = (la.vec_mat_vec(x, gram, y) for x, y in ((v, v), (v, t), (t, t)))
+    det = b * b - a * c  # -det T > 0
+    xmax = isqrt((4 + a) * (2 * b * b - a * c) // (2 * a * det))
+    ymax = isqrt((4 + a) * a // (2 * det))
+    return any(
+        (x or y)
+        and a * x * x + 2 * b * x * y + c * y * y >= -2
+        and 0 <= 2 * (a * x + b * y) <= a
+        for x in range(-xmax, xmax + 1)
+        for y in range(-ymax, ymax + 1)
+    )
+
+
+def orbit_witnesses(ctx):
+    """(type, class) for one class per Eichler orbit (square, div,
+    +-c mod div) of every candidate wall type, smallest c first:
+    div e + div u f + c delta on L_n's first hyperbolic plane and tail."""
+    period = 2 * ctx.n - 2
+    for t in enumerate_wall_types(ctx):
+        mod = 2 * t.div * t.div
+        orbits = {}
+        for c in range(mod):
+            if gcd(c, t.div) == 1 and (t.square + c * c * period) % mod == 0:
+                orbits.setdefault(min(c % t.div, -c % t.div), c)
+        for c in orbits.values():
+            coords = [0] * ctx.ambient.rank
+            coords[0], coords[1], coords[-1] = t.div, t.div * ((t.square + c * c * period) // mod), c
+            yield t, ctx.ambient.vector(coords)
+
+
+class TestOneConditionOracle:
+    def test_every_orbit_agrees_with_wall_test(self):
+        verdicts = {}
+        orbits = set()
+        for n in range(2, 16):
+            ctx = make_context(n)
+            for t, D in orbit_witnesses(ctx):
+                inv = eichler_invariants(ctx.ambient, D)
+                flip = eichler_invariants(ctx.ambient, tuple(-x for x in D.coords))
+                assert (inv.square, inv.div) == (t.square, t.div)
+                orbits.add((n, min(inv.disc, flip.disc), t))
+                wall = wall_test(ctx, D) is not None
+                assert one_condition_wall(ctx, D) == wall, (n, t, D.coords)
+                verdicts.setdefault((n, t.square, t.div), []).append(wall)
+        assert len(orbits) == sum(map(len, verdicts.values())) == 410
+        # item 11's split types: the smallest-c orbit is no wall, the other is
+        split = sorted(k for k, vs in verdicts.items() if len(set(vs)) > 1)
+        assert [n for n, _, _ in split] == [7, 9] + [11] * 3 + [13] * 5 + [15] * 6
+        assert {(7, -588, 12), (9, -272, 8)} <= set(split)
+        assert all(verdicts[k] == [False, True] for k in split)
+
+    def test_recorded_classes_agree_with_wall_test(self):
+        for case in WALL_TESTS:
+            ctx = make_context(case["n"])
+            D = ctx.ambient.vector(case["class"])
+            assert one_condition_wall(ctx, D) == (wall_test(ctx, D) is not None), case["class"]
