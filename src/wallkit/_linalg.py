@@ -11,16 +11,12 @@ in a rank-24 lattice costs rows times nonzeros, not rows times columns.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InternalError
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
-
-
-def freeze(rows: Iterable[Sequence]) -> tuple:
-    return tuple(tuple(row) for row in rows)
 
 
 def transpose(m: Sequence[Sequence]) -> tuple:
@@ -161,12 +157,7 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix,
             a[t] = [-x for x in a[t]]
             p[t] = [-x for x in p[t]]
         t += 1
-    return freeze(p), freeze(a), freeze(q)
-
-
-def snf_diagonal(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    _, d, _ = smith_normal_form(m)
-    return tuple(d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)))
+    return tuple(map(tuple, p)), tuple(map(tuple, a)), tuple(map(tuple, q))
 
 
 def kernel_basis(m: Sequence[Sequence[int]]) -> tuple[IntVector, ...]:

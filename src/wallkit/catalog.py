@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
+from . import _linalg as la
 from . import chambers as cg
 from . import walls as wl
 from .errors import InputError, OnWallError
@@ -86,10 +87,6 @@ class _Recorder:
 # ------------------------------------------------------------ fixture access
 
 
-def _fixture_path(name: str):
-    return resources.files("wallkit").joinpath("fixtures", f"{name}.json")
-
-
 def list_fixtures() -> list[str]:
     return list(FIXTURE_ORDER)
 
@@ -97,7 +94,8 @@ def list_fixtures() -> list[str]:
 def load_fixture(name: str) -> dict:
     if name not in FIXTURE_ORDER:
         raise InputError(f"unknown fixture {name!r}; known: {', '.join(FIXTURE_ORDER)}")
-    with _fixture_path(name).open("r", encoding="utf-8") as fh:
+    path = resources.files("wallkit").joinpath("fixtures", f"{name}.json")
+    with path.open("r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -124,10 +122,7 @@ def _random_transvection_image(lattice, coords, rng) -> tuple[int, ...]:
         if any(a):
             break
     mat = wl.eichler_transvection(lattice, e, tuple(a))
-    return tuple(
-        sum(mat[i][j] * coords[j] for j in range(lattice.rank))
-        for i in range(lattice.rank)
-    )
+    return la.mat_vec(mat, coords)
 
 
 def _wall_key(w: cg.Wall):
@@ -252,8 +247,7 @@ def _check_p2(fx: dict, rec: _Recorder, seed: int) -> None:
     combo = tuple(Fraction(1) * h - 3 * dd for h, dd in zip(tuple(fx["h_in_pic"]), delta_dual_pic))
     rec.add("dual-ray-half-factor", combo, dual)
     rec.true("delta-dual-integral-pairings", all(
-        sum(delta_dual[i] * ctx.ambient.gram[i][j] for i in range(23)).denominator == 1
-        for j in range(23)
+        x.denominator == 1 for x in la.mat_vec(ctx.ambient.gram, delta_dual)
     ))
 
     _, rep = _chamber_case(case, rec, "chamber", certified=False)

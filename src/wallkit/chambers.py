@@ -269,7 +269,7 @@ def is_positive_class(P: PicardData, x) -> bool:
     if P.omega_ref is None:
         raise ConfigurationError("positivity test needs a reference class")
     xf = _fracs(P, x)
-    return P.pic.norm(xf) > 0 and P.pic.inner(xf, _primitive_int(P.omega_ref)) > 0
+    return P.pic.norm(xf) > 0 and P.pic.inner(xf, P.omega_ref) > 0
 
 
 # ----------------------------------------------------- segment wall crossing
@@ -662,41 +662,30 @@ def _split_isotropic(P: PicardData, side):
     return up, um, e
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
 def _split_candidates(P: PicardData, side, lookup, split):
     """Complete wall-class enumeration for split rank-2 forms.
 
     Writing x via its pairings p = (x, u+), q = (x, u-) gives
     x = (q u+ + p u-) / e and x^2 = 2 p q / e, so classes of square s
     correspond to divisor pairs of s e / 2: a finite, height-free list.
+    Every listed square s is even, so s e / 2 is an integer.
     """
     up, um, e = split
     out = {}
     for s in lookup:
-        num = s * e
-        if num % 2:
-            continue
-        prod = num // 2  # negative
-        for d in _divisors(-prod):
-            for p, q in ((d, prod // d), (-d, -(prod // d))):
-                coords = [q * a + p * b for a, b in zip(up, um)]
-                if any(c % e for c in coords):
-                    continue
-                x = tuple(c // e for c in coords)
-                t = _wall_type(P, lookup, x, s)
-                if t is not None:
-                    out[_toward(side, x)] = t
+        m = -s * e // 2  # s < 0, so p q = -m < 0
+        for r in range(1, isqrt(m) + 1):
+            if m % r:
+                continue
+            for d in {r, m // r}:
+                for p, q in ((d, -(m // d)), (-d, m // d)):
+                    coords = [q * a + p * b for a, b in zip(up, um)]
+                    if any(c % e for c in coords):
+                        continue
+                    x = tuple(c // e for c in coords)
+                    t = _wall_type(P, lookup, x, s)
+                    if t is not None:
+                        out[_toward(side, x)] = t
     return out
 
 
@@ -884,6 +873,6 @@ def in_dual_cone(P: PicardData, walls, x) -> bool:
     if P.omega_ref is None:
         raise ConfigurationError("dual-cone test needs a reference class")
     xf = _fracs(P, x)
-    if P.pic.inner(xf, _primitive_int(P.omega_ref)) < 0:
+    if P.pic.inner(xf, P.omega_ref) < 0:
         return False
     return all(P.pic.inner(w.D.coords, xf) > 0 for w in walls)

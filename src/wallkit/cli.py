@@ -109,11 +109,6 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _note(args, text: str) -> None:
-    if not args.quiet:
-        print(text, file=sys.stderr)
-
-
 def _need_input(args) -> object:
     if not args.input:
         raise InputError("this command needs --input (inline JSON or a file path)")
@@ -134,8 +129,8 @@ def cmd_tabulate(args) -> int:
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
         sys.stdout.write(fmt.types_to_csv(types))
-        if caveat:
-            _note(args, CAVEAT)
+        if caveat and not args.quiet:
+            print(CAVEAT, file=sys.stderr)
     else:
         sys.stdout.write(fmt.types_to_table(types))
         if caveat and not args.quiet:

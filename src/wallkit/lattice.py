@@ -37,12 +37,13 @@ class IntegerLattice:
     `blocks` records the orthogonal summands the lattice was assembled
     from (constructor bookkeeping, e.g. ("U", "U", "E8(-1)", "<-4>")).
     It is trusted only for lattices built by `standard_lattice` /
-    `direct_sum`; ad hoc Gram matrices get no block tags.
+    `direct_sum`; ad hoc Gram matrices get no block tags.  Equality and
+    hashing read only the Gram matrix, not `label` or `blocks`.
     """
 
     gram: tuple[tuple[int, ...], ...]
-    label: str | None = None
-    blocks: tuple[str, ...] = ()
+    label: str | None = field(default=None, compare=False)
+    blocks: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         g = tuple(map(_int_coords, self.gram))
@@ -63,14 +64,6 @@ class IntegerLattice:
     @property
     def rank(self) -> int:
         return len(self.gram)
-
-    @functools.cached_property
-    def det(self) -> int:
-        return la.bareiss_det(self.gram)
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.det == 0
 
     def inner(self, x: Sequence, y: Sequence):
         if len(x) != self.rank or len(y) != self.rank:
@@ -120,19 +113,6 @@ class LatticeVector:
 
     def div(self) -> int:
         return divisibility(self.lattice, self.coords)
-
-    def __neg__(self) -> "LatticeVector":
-        return LatticeVector(self.lattice, tuple(-c for c in self.coords))
-
-    def __add__(self, other: "LatticeVector") -> "LatticeVector":
-        if other.lattice != self.lattice:
-            raise InputError("cannot add vectors from different lattices")
-        return LatticeVector(
-            self.lattice, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
-
-    def __sub__(self, other: "LatticeVector") -> "LatticeVector":
-        return self + (-other)
 
 
 def parse_frac(value) -> Fraction:
@@ -233,8 +213,8 @@ class Embedding:
 
     def is_primitive(self) -> bool:
         """True when the image is a saturated (primitive) sublattice."""
-        diag = la.snf_diagonal(self.matrix)
-        return all(d == 1 for d in diag)
+        _, d, _ = la.smith_normal_form(self.matrix)
+        return all(d[i][i] == 1 for i in range(min(self.target.rank, self.source.rank)))
 
 
 def signature(lattice: IntegerLattice) -> tuple[int, int]:
@@ -334,20 +314,11 @@ class DiscriminantGroup:
     _qinv: tuple[tuple[int, ...], ...] = field(repr=False)
     _diag: tuple[int, ...] = field(repr=False)
 
-    def _rational_rep(self, exponents: Sequence[int]) -> tuple[Fraction, ...]:
+    def q(self, exponents: Sequence[int]) -> Fraction:
         if len(exponents) != len(self.invariant_factors):
             raise InputError("exponent tuple has wrong length")
-        n = self.lattice.rank
-        out = [Fraction(0)] * n
-        for e, g in zip(exponents, self.generators):
-            for i in range(n):
-                out[i] += e * g[i]
-        return tuple(out)
-
-    def q(self, exponents: Sequence[int]) -> Fraction:
-        x = self._rational_rep(exponents)
-        val = la.vec_mat_vec(x, self.lattice.gram, x)
-        return Fraction(val) % 2
+        x = la.mat_vec(la.transpose(self.generators), exponents)
+        return Fraction(la.vec_mat_vec(x, self.lattice.gram, x)) % 2
 
     def class_of(self, v: Sequence[int], m: int) -> tuple[int, ...]:
         """Exponent tuple of [v/m] in A_L; InputError if v/m is not dual."""
@@ -380,11 +351,11 @@ def _exact_quotient(v: Sequence[int], d: int) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=None)
 def discriminant_group(lattice: IntegerLattice) -> DiscriminantGroup:
-    if lattice.is_degenerate:
-        raise InputError("discriminant group of a degenerate lattice")
     p, d, q = la.smith_normal_form(lattice.gram)
     n = lattice.rank
     diag = tuple(d[i][i] for i in range(n))
+    if 0 in diag:
+        raise InputError("discriminant group of a degenerate lattice")
     factors = []
     gens = []
     cols = la.transpose(q)

@@ -99,10 +99,8 @@ def make_context(n: int) -> NContext:
             row[22] = -(n - 1)
         rows.append(tuple(row))
     emb = Embedding(source=ambient, target=mukai, matrix=tuple(rows))
-    gv = la.mat_vec(mukai.gram, v.coords)
-    for j in range(cols):
-        if sum(gv[i] * emb.matrix[i][j] for i in range(24)) != 0:
-            raise InternalError("ambient image is not orthogonal to v")
+    if any(la.mat_vec(la.transpose(emb.matrix), la.mat_vec(mukai.gram, v.coords))):
+        raise InternalError("ambient image is not orthogonal to v")
     if not emb.is_primitive():
         raise InternalError("ambient embedding is not primitive")
     return NContext(
@@ -372,7 +370,7 @@ def bm_wall_test(T: IntegerLattice, v_in_T: LatticeVector) -> WallWitness | None
         a, b, c = line_quad(t0)
         for k in _quad_window(a, b, c):
             t = vec(t0, k)
-            w = v - t
+            w = vec((v.coords[0] - t0[0], v.coords[1] - t0[1]), -k)
             if T.norm(w.coords) >= 0:
                 return WallWitness(
                     WallCondition.BM_SUM,

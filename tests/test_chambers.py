@@ -255,6 +255,33 @@ class TestRank2Recorded:
         )
 
 
+def parent_divisors(n):
+    """The former `chambers._divisors`."""
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+        d += 1
+    return sorted(out)
+
+
+class TestSplitDivisorWalk:
+    def test_pairs_match_parent_divisors(self, monkeypatch):
+        # with u+ = (1, 0), u- = (0, 1) and e = 1 the walk's class for the
+        # pairings (p, q) is x = (q, p), and square s = -2m gives p q = -m
+        seen = []
+        monkeypatch.setattr(chambers, "_wall_type", lambda P, lookup, x, s: seen.append(x))
+        for m in range(1, 20001):
+            seen.clear()
+            assert chambers._split_candidates(None, (1, 1), {-2 * m: {}}, ((1, 0), (0, 1), 1)) == {}
+            pairs = [(d, -m // d) for d in parent_divisors(m)]
+            pairs += [(-p, -q) for p, q in pairs]
+            assert sorted((p, q) for q, p in seen) == sorted(pairs), m
+
+
 # --------------------------------------------------------------- rank 1 and 5
 
 

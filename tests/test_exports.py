@@ -34,3 +34,13 @@ def test_absolute_imports_are_stdlib_or_wallkit(path):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             roots.add(node.module.split(".")[0])
     assert sorted(roots - set(sys.stdlib_module_names) - {"wallkit"}) == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(wallkit.__path__[0]).glob("*.py")), ids=lambda p: p.name
+)
+def test_no_assert_statements(path):
+    # python -O strips asserts; invariant checks must raise InternalError
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == []

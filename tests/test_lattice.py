@@ -1,5 +1,6 @@
 """Lattice constructions, discriminant groups, and sublattice operations."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from wallkit import (
     IntegerLattice,
     InternalError,
     LatticeVector,
+    PicardData,
     direct_sum,
     disc_class,
     discriminant_group,
@@ -276,3 +278,129 @@ class TestEmbedding:
         with pytest.raises(InputError, match="vector belongs to a different lattice"):
             ctx.embed.apply(ctx.v)
         assert ctx.embed.apply(ctx.delta) == ctx.embed.apply(ctx.delta.coords)
+
+
+class TestBookkeepingFields:
+    """`label` and `blocks` are bookkeeping: only the Gram matrix decides
+    equality, so a relabelled copy is the same lattice everywhere."""
+
+    def test_equality_and_hash_read_only_the_gram(self):
+        L = standard_lattice("Ln", 3)
+        bare = IntegerLattice(L.gram)
+        assert bare == L and hash(bare) == hash(L)
+        assert IntegerLattice(L.gram, label="other", blocks=("U",)) == L
+        other = IntegerLattice(standard_lattice("Ln", 4).gram, label=L.label, blocks=L.blocks)
+        assert other != L
+
+    def test_picard_data_accepts_relabelled_source(self):
+        ctx = make_context(3)
+        gram = ((2,),)
+        matrix = tuple((1,) if i in (0, 1) else (0,) for i in range(23))
+        emb = Embedding(IntegerLattice(gram), ctx.ambient, matrix)
+        P = PicardData(ctx=ctx, pic=IntegerLattice(gram, label="pic"), embed=emb)
+        assert P.pic.label == "pic"
+        with pytest.raises(InputError, match="embedding must map the Picard lattice into L_n"):
+            PicardData(ctx=ctx, pic=IntegerLattice(((4,),), label="pic"), embed=emb)
+
+    def test_apply_accepts_vector_of_relabelled_copy(self):
+        emb = Embedding(standard_lattice("rank1", 2), U, ((1,), (1,)))
+        copy = IntegerLattice(((2,),), label="copy")
+        assert emb.apply(copy.vector((3,))).coords == (3, 3)
+        with pytest.raises(InputError, match="vector belongs to a different lattice"):
+            emb.apply(IntegerLattice(((4,),), label="<2>").vector((3,)))
+
+    def test_discriminant_group_accepts_relabelled_copy(self):
+        L = standard_lattice("Ln", 3)
+        copy = IntegerLattice(L.gram, label="copy")
+        delta = tuple(0 if i < 22 else 1 for i in range(23))
+        assert discriminant_group(copy) == discriminant_group(L)
+        assert discriminant_group(L).class_of(copy.vector(delta), 4) == (1,)
+        assert disc_class(copy, copy.vector(delta), 4) == disc_class(L, delta, 4)
+        with pytest.raises(InputError, match="vector belongs to a different lattice"):
+            discriminant_group(L).class_of(standard_lattice("Ln", 4).vector(delta), 4)
+
+
+# ------------------------------------------------- the parent code as oracles
+
+
+def parent_snf_diagonal(m):
+    """The former `_linalg.snf_diagonal`."""
+    _, d, _ = la.smith_normal_form(m)
+    return tuple(d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)))
+
+
+def parent_q(group, exponents):
+    """The former `DiscriminantGroup.q`, through `_rational_rep`."""
+    if len(exponents) != len(group.invariant_factors):
+        raise InputError("exponent tuple has wrong length")
+    n = group.lattice.rank
+    out = [Fraction(0)] * n
+    for e, g in zip(exponents, group.generators):
+        for i in range(n):
+            out[i] += e * g[i]
+    x = tuple(out)
+    return Fraction(la.vec_mat_vec(x, group.lattice.gram, x)) % 2
+
+
+def random_even_gram(rng, n):
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = 2 * rng.randint(-2, 2)
+        for j in range(i):
+            g[i][j] = g[j][i] = rng.randint(-2, 2)
+    return tuple(map(tuple, g))
+
+
+def every_class(group):
+    return itertools.product(*(range(d) for d in group.invariant_factors))
+
+
+class TestParentOracles:
+    def test_is_primitive_matches_snf_diagonal(self):
+        rng = random.Random(30)
+        seen = {True: 0, False: 0}
+        shapes = [(0, 0), (1, 0), (4, 0)] + [
+            (rng.randint(1, 5), rng.randint(1, 5)) for _ in range(300)
+        ]
+        for t, s in shapes:
+            target = IntegerLattice(random_even_gram(rng, t))
+            m = tuple(tuple(rng.randint(-3, 3) for _ in range(s)) for _ in range(t))
+            induced = la.mat_mul(la.mat_mul(la.transpose(m), target.gram), m)
+            emb = Embedding(IntegerLattice(induced), target, m)
+            expected = all(d == 1 for d in parent_snf_diagonal(m))
+            assert emb.is_primitive() == expected, (t, s, m)
+            seen[expected] += 1
+        assert min(seen.values()) >= 50
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_q_matches_rational_rep_on_ln(self, n):
+        A = discriminant_group(standard_lattice("Ln", n))
+        classes = list(every_class(A))
+        assert len(classes) == 2 * n - 2
+        assert [A.q(c) for c in classes] == [parent_q(A, c) for c in classes]
+
+    def test_q_matches_rational_rep_on_random_lattices(self):
+        rng = random.Random(31)
+        done = 0
+        while done < 25:
+            gram = random_even_gram(rng, rng.randint(1, 4))
+            det = la.bareiss_det(gram)
+            if det == 0 or abs(det) > 200:
+                continue
+            A = discriminant_group(IntegerLattice(gram))
+            for c in every_class(A):
+                assert A.q(c) == parent_q(A, c)
+            with pytest.raises(InputError, match="exponent tuple has wrong length"):
+                A.q((0,) * (len(A.invariant_factors) + 1))
+            done += 1
+
+    @pytest.mark.parametrize(
+        "gram",
+        [((0,),), ((2, 2), (2, 2)), ((0, 0), (0, 0)), ((2, 1, 3), (1, 2, 3), (3, 3, 6))],
+        ids=["zero", "rank1-dependent", "zero2", "rank3-dependent"],
+    )
+    def test_degenerate_lattice_raises(self, gram):
+        L = IntegerLattice(gram)
+        assert la.bareiss_det(gram) == 0
+        with pytest.raises(InputError, match="^discriminant group of a degenerate lattice$"):
+            discriminant_group(L)
