@@ -49,31 +49,6 @@ def vec_mat_vec(x: Sequence, a: Sequence[Sequence], y: Sequence):
     return sum(xi * sum(a[i][j] * yj for j, yj in nz) for i, xi in _nonzero(x))
 
 
-def bareiss_det(m: Sequence[Sequence[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(map(int, row)) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form with transforms: returns (P, D, Q), P*M*Q = D.
 

@@ -150,7 +150,7 @@ def cmd_wall_test(args) -> int:
     if "coords" in payload:
         coords = fmt.parse_vector(payload, ctx.ambient.rank)
         D = ctx.ambient.vector(coords)
-        if D.is_zero() or not D.is_primitive():
+        if not D.is_primitive():
             raise InputError("wall tests take nonzero primitive classes")
         square, div = D.norm(), divisibility(ctx.ambient, coords)
     elif "square" in payload and "div" in payload:

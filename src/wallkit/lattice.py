@@ -102,14 +102,8 @@ class LatticeVector:
         coords = other.coords if isinstance(other, LatticeVector) else other
         return self.lattice.inner(self.coords, coords)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def content(self) -> int:
-        return gcd(*self.coords) if any(self.coords) else 0
-
     def is_primitive(self) -> bool:
-        return self.content() == 1
+        return gcd(*self.coords) == 1
 
     def div(self) -> int:
         return divisibility(self.lattice, self.coords)

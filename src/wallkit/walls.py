@@ -87,18 +87,8 @@ def make_context(n: int) -> NContext:
     ambient = standard_lattice("Ln", n)
     mukai = standard_lattice("mukai")
     v = mukai.vector((0,) * 22 + (1, n - 1))
-    cols = 23
-    rows = []
-    for i in range(24):
-        row = [0] * cols
-        if i < 22:
-            row[i] = 1
-        elif i == 22:
-            row[22] = 1
-        else:  # i == 23
-            row[22] = -(n - 1)
-        rows.append(tuple(row))
-    emb = Embedding(source=ambient, target=mukai, matrix=tuple(rows))
+    rows = tuple(tuple(int(j == i) for j in range(23)) for i in range(23))
+    emb = Embedding(source=ambient, target=mukai, matrix=rows + ((0,) * 22 + (1 - n,),))
     if any(la.mat_vec(la.transpose(emb.matrix), la.mat_vec(mukai.gram, v.coords))):
         raise InternalError("ambient image is not orthogonal to v")
     if not emb.is_primitive():
@@ -316,7 +306,8 @@ def bm_wall_test(T: IntegerLattice, v_in_T: LatticeVector) -> WallWitness | None
     """
     if T.rank != 2:
         raise InputError("bm_wall_test expects a rank-2 lattice")
-    if la.bareiss_det(T.gram) >= 0:
+    (g00, g01), (_, g11) = T.gram
+    if g00 * g11 - g01 * g01 >= 0:
         raise InputError("bm_wall_test expects det(T) < 0")
     v = T.vector(v_in_T)
     vsq = v.norm()
@@ -330,20 +321,15 @@ def bm_wall_test(T: IntegerLattice, v_in_T: LatticeVector) -> WallWitness | None
     u0 = (-g[1] // dv, g[0] // dv)
     if u0[0] < 0 or (u0[0] == 0 and u0[1] < 0):
         u0 = (-u0[0], -u0[1])
-    a_coeff = T.norm(u0)  # negative: u0 spans the negative part of T
+    a = T.norm(u0)  # negative: u0 spans the negative part of T
+    # the classes pairing f dv with v are f (x0, y0) + k u0, of square
+    # a k^2 + 2 f b k + f^2 c
+    b, c = T.inner((x0, y0), u0), T.norm((x0, y0))
 
-    def particular(p: int) -> tuple[int, int]:
-        f = p // dv
-        return (x0 * f, y0 * f)
+    def vec(f: int, k: int) -> LatticeVector:
+        return T.vector((f * x0 + k * u0[0], f * y0 + k * u0[1]))
 
-    def line_quad(w0: tuple[int, int]) -> tuple[int, int, int]:
-        # square of w0 + k u0 as a polynomial in k
-        return a_coeff, 2 * T.inner(w0, u0), T.norm(w0)
-
-    def vec(w0: tuple[int, int], k: int) -> LatticeVector:
-        return T.vector((w0[0] + k * u0[0], w0[1] + k * u0[1]))
-
-    if a_coeff == -2:
+    if a == -2:
         return WallWitness(
             WallCondition.BM_ORTH_ROOT, (T.vector(u0),), (-2, 0), against=v
         )
@@ -355,29 +341,27 @@ def bm_wall_test(T: IntegerLattice, v_in_T: LatticeVector) -> WallWitness | None
         for p in pairings:
             if p % dv:
                 continue
-            w0 = particular(p)
-            a, b, c = line_quad(w0)
+            f = p // dv
             # an integer root of the downward parabola ends its window
-            window = _quad_window(a, b, c - sq)
+            window = _quad_window(a, 2 * f * b, f * f * c - sq)
             for k in (window[0], window[-1]) if window else ():
-                if a * k * k + b * k + c == sq:
-                    return WallWitness(cond, (vec(w0, k),), (sq, p), against=v)
+                if a * k * k + 2 * f * b * k + f * f * c == sq:
+                    return WallWitness(cond, (vec(f, k),), (sq, p), against=v)
 
-    for pt in range(1, vsq):
-        if pt % dv:
-            continue
-        t0 = particular(pt)
-        a, b, c = line_quad(t0)
-        for k in _quad_window(a, b, c):
-            t = vec(t0, k)
-            w = vec((v.coords[0] - t0[0], v.coords[1] - t0[1]), -k)
-            if T.norm(w.coords) >= 0:
-                return WallWitness(
-                    WallCondition.BM_SUM,
-                    (w, t),
-                    (w.norm(), t.norm(), vsq - pt, pt),
-                    against=v,
-                )
+    # v = w + t with (t, v) = pt: w^2 = t^2 + v^2 - 2 pt, so both squares
+    # are >= 0 exactly when t^2 >= max(0, 2 pt - v^2)
+    for pt in range(dv, vsq, dv):
+        f = pt // dv
+        window = _quad_window(a, 2 * f * b, f * f * c - max(0, 2 * pt - vsq))
+        if window:
+            t = vec(f, window[0])
+            w = T.vector(tuple(x - y for x, y in zip(v.coords, t.coords)))
+            return WallWitness(
+                WallCondition.BM_SUM,
+                (w, t),
+                (w.norm(), t.norm(), vsq - pt, pt),
+                against=v,
+            )
     return None
 
 
@@ -419,52 +403,54 @@ def wall_type_exists(ctx: NContext, square: int, div: int) -> tuple[bool, Lattic
     supported on a hyperbolic plane plus the rank-1 tail.
     """
     WallType(square, div)  # InputError unless square < 0 is even and div >= 1
-    n = ctx.n
-    period = 2 * n - 2
+    period = 2 * ctx.n - 2
     if period % div:
         return False, None
-    mod = 2 * div * div
-    c = _admissible_residues(period, div).get(square % mod)
+    c = _admissible_residues(period, div).get(square % (2 * div * div))
     if c is None:
         return False, None
-    u2 = (square + c * c * period) // mod
-    coords = [0] * 23
-    coords[0] = div
-    coords[1] = div * u2
-    coords[22] = c
-    D = ctx.ambient.vector(coords)
+    return True, _witness(ctx, square, div, c)
+
+
+def _witness(ctx: NContext, square: int, div: int, c: int) -> LatticeVector:
+    """div e + div u f + c delta on L_n's first hyperbolic plane and tail,
+    for a coefficient c that `_admissible_residues` gives this type."""
+    u = (square + c * c * (2 * ctx.n - 2)) // (2 * div * div)
+    D = ctx.ambient.vector((div, div * u) + (0,) * 20 + (c,))
     if D.norm() != square or not D.is_primitive() or D.div() != div:
         raise InternalError("witness construction failed")
-    return True, D
+    return D
 
 
-@functools.lru_cache(maxsize=None)
 def _admissible_residues(period: int, div: int) -> dict[int, int]:
     """Residues of squares realizable at this divisibility: maps
     -c^2 * period mod 2 div^2 to the smallest coefficient c prime to div
-    that realizes it."""
-    mod = 2 * div * div
+    that realizes it.  As div divides the even period, the residue and
+    gcd(c, div) depend on c mod div only."""
     table: dict[int, int] = {}
-    for c in range(mod):
+    for c in range(div):
         if gcd(c, div) == 1:
-            table.setdefault((-c * c * period) % mod, c)
+            table.setdefault((-c * c * period) % (2 * div * div), c)
     return table
 
 
 def _typed_witnesses(ctx: NContext):
     """(WallType, witness class) for each candidate wall type at level n,
-    in (div, |square|) order: divisors ascending, squares descending."""
-    n = ctx.n
-    period = 2 * n - 2
-    for m in range(1, period + 1):
-        if period % m:
+    in (div, |square|) order: divisors ascending, squares descending.
+    Residue r gives the squares r - 2 div^2 j, j >= 1, down to the
+    dual-ray bound -(n+3) div^2 / 2."""
+    period = 2 * ctx.n - 2
+    for div in range(1, period + 1):
+        if period % div:
             continue
-        s = -2
-        while 2 * s + (n + 3) * m * m >= 0:
-            exists, D = wall_type_exists(ctx, s, m)
-            if exists:
-                yield WallType(square=s, div=m), D
-            s -= 2
+        mod, low = 2 * div * div, -((ctx.n + 3) * div * div // 2)
+        squares = sorted(
+            ((s, c) for r, c in _admissible_residues(period, div).items()
+             for s in range(r - mod, low - 1, -mod)),
+            reverse=True,
+        )
+        for s, c in squares:
+            yield WallType(square=s, div=div), _witness(ctx, s, div, c)
 
 
 def enumerate_wall_types(ctx: NContext) -> tuple[WallType, ...]:

@@ -147,7 +147,7 @@ def sample_div(ctx, rng, m, coeff_bound):
         c = rng.choice([x for x in range(-9, 10) if x % 2])
         coords = tuple(m * x for x in u) + (c,)
         D = ctx.ambient.vector(coords)
-        if D.is_zero() or not D.is_primitive():
+        if not D.is_primitive():
             continue
         if divisibility(ctx.ambient, coords) != m:
             continue
@@ -290,7 +290,7 @@ def random_primitive(lattice, rng):
     while True:
         coords = tuple(rng.randint(-3, 3) for _ in range(lattice.rank))
         v = lattice.vector(coords)
-        if not v.is_zero() and v.is_primitive():
+        if v.is_primitive():
             return coords
 
 

@@ -202,9 +202,10 @@ class TestTabulate:
         assert (code, out) == (2, "")
         assert err.startswith("error:")
 
-    # stdout recorded before the sparse kernels and the Smith-form reads
-    # of `hyperbolic_T`; every certified row runs the rank-2 wall test.
-    @pytest.mark.parametrize("n", range(2, 11))
+    # stdout for n <= 10 recorded before the sparse kernels and the
+    # Smith-form reads of `hyperbolic_T`, for n = 11..20 before the type
+    # walk by residue; every certified row runs the rank-2 wall test.
+    @pytest.mark.parametrize("n", range(2, 21))
     def test_certified_json_golden_stdout(self, capsys, n):
         code, out, err = run(
             capsys, "tabulate", "--n", str(n), "--certified", "--format", "json"
@@ -301,6 +302,23 @@ class TestWallTest:
         code, _, err = run(capsys, "wall-test", "--n", "2", "--input", coords)
         assert code == 2
         assert "primitive" in err
+
+    def test_zero_class_rejected(self, capsys):
+        coords = json.dumps({"coords": [0] * 23})
+        code, out, err = run(capsys, "wall-test", "--n", "2", "--input", coords)
+        assert (code, out) == (2, "")
+        assert "nonzero primitive" in err
+
+    def test_missing_type_fails_fast(self, capsys):
+        # a residue table over range(2 div^2) would take 32 million steps
+        t0 = time.perf_counter()
+        code, out, err = run(
+            capsys, "wall-test", "--n", "2000", "--input", '{"square": -2, "div": 3998}'
+        )
+        elapsed = time.perf_counter() - t0
+        assert (code, out) == (2, "")
+        assert "no primitive class of square -2 and divisibility 3998 exists" in err
+        assert elapsed < 2, elapsed
 
 
 # -------------------------------------------------------------------- orbit

@@ -95,8 +95,8 @@ class TestVectors:
         assert v.inner((1, -1)) == 0
 
     def test_primitive_and_content(self):
-        assert U.vector((2, 4)).content() == 2
         assert not U.vector((2, 4)).is_primitive()
+        assert not U.vector((0, 0)).is_primitive()
         assert U.vector((2, 3)).is_primitive()
 
     @pytest.mark.parametrize("coord", [Fraction(3, 2), Fraction(-1, 3), 2.7, -0.5])
@@ -384,7 +384,7 @@ class TestParentOracles:
         done = 0
         while done < 25:
             gram = random_even_gram(rng, rng.randint(1, 4))
-            det = la.bareiss_det(gram)
+            det = sympy.Matrix(gram).det()
             if det == 0 or abs(det) > 200:
                 continue
             A = discriminant_group(IntegerLattice(gram))
@@ -401,6 +401,6 @@ class TestParentOracles:
     )
     def test_degenerate_lattice_raises(self, gram):
         L = IntegerLattice(gram)
-        assert la.bareiss_det(gram) == 0
+        assert sympy.Matrix(gram).det() == 0
         with pytest.raises(InputError, match="^discriminant group of a degenerate lattice$"):
             discriminant_group(L)

@@ -94,8 +94,8 @@ class TestSmithNormalForm:
             m = rand_matrix(rng, r, c)
             P, D, Q = la.smith_normal_form(m)
             assert la.mat_mul(la.mat_mul(P, m), Q) == D
-            assert abs(la.bareiss_det(P)) == 1
-            assert abs(la.bareiss_det(Q)) == 1
+            assert abs(sympy.Matrix(P).det()) == 1
+            assert abs(sympy.Matrix(Q).det()) == 1
             diag = [D[i][i] for i in range(min(r, c))]
             for i in range(r):
                 for j in range(c):
@@ -119,20 +119,6 @@ class TestSmithNormalForm:
     def test_snf_diagonal_of_zero_matrix(self):
         _, D, _ = la.smith_normal_form(((0, 0), (0, 0)))
         assert D == ((0, 0), (0, 0))
-
-
-class TestDeterminant:
-    def test_matches_sympy_on_random_matrices(self):
-        rng = random.Random(7)
-        for _ in range(40):
-            n = rng.randint(1, 6)
-            m = rand_matrix(rng, n, n)
-            assert la.bareiss_det(m) == int(sympy.Matrix(m).det())
-
-    def test_identity_and_swap(self):
-        eye = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
-        assert la.bareiss_det(eye) == 1
-        assert la.bareiss_det(((0, 1), (1, 0))) == -1
 
 
 class TestKernel:
@@ -318,7 +304,7 @@ class TestSmithInverses:
         for _ in range(20):
             n = rng.randint(1, 4)
             m = rand_matrix(rng, n, n, -3, 3)
-            if abs(la.bareiss_det(m)) != 1:
+            if abs(sympy.Matrix(m).det()) != 1:
                 continue
             inv = invert_unimodular(m)
             assert la.mat_mul(m, inv) == tuple(
@@ -372,7 +358,7 @@ class TestSmithInverses:
             g = [list(row) for row in rand_symmetric(rng, n)]
             for i in range(n):
                 g[i][i] = 2 * rng.randint(-3, 3)
-            if la.bareiss_det(g) == 0:
+            if sympy.Matrix(g).det() == 0:
                 continue
             lattice = IntegerLattice(tuple(map(tuple, g)))
             _, _, q = la.smith_normal_form(lattice.gram)
@@ -543,7 +529,7 @@ def random_definite_grams(seed, count):
         b = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         if rng.random() < 0.5:
             b[-1] = [x + rng.randint(100, 10**4) * y for x, y in zip(b[-1], b[0])]
-        if la.bareiss_det(b) == 0:
+        if sympy.Matrix(b).det() == 0:
             continue
         out.append(la.mat_mul(b, la.transpose(b)))
     return out
@@ -572,7 +558,7 @@ class TestLLL:
         for g in grams:
             u, red = la.lll_reduce(g)
             assert all(type(x) is int for row in u for x in row)
-            assert abs(la.bareiss_det(u)) == 1
+            assert abs(sympy.Matrix(u).det()) == 1
             assert red == la.mat_mul(la.mat_mul(u, g), la.transpose(u))
             mu, bstar = gram_schmidt(red)
             for i in range(len(g)):

@@ -10,13 +10,16 @@ from math import ceil, floor, gcd, isqrt
 from pathlib import Path
 
 import pytest
+import sympy
 
 import wallkit._linalg as la
 from test_linalg import rank
 from wallkit import (
     InputError,
+    IntegerLattice,
     WallCondition,
     WallType,
+    WallWitness,
     bm_wall_test,
     certified_wall_types,
     divisibility,
@@ -34,7 +37,7 @@ from wallkit import (
     wall_test,
     wall_type_exists,
 )
-from wallkit.walls import _quad_window
+from wallkit.walls import _admissible_residues, _quad_window, _typed_witnesses, _xgcd
 
 
 def basis(rank, entries):
@@ -222,7 +225,7 @@ class TestWallTestWitnesses:
         assert wit.check()
         T = hyperbolic_T(ctx, ctx.embed.apply(D))
         assert T.lattice.gram == ((4, -1), (-1, -2))
-        assert la.bareiss_det(T.lattice.gram) < 0  # hyperbolic
+        assert sympy.Matrix(T.lattice.gram).det() < 0  # hyperbolic
 
     def test_type_minus24_div3_at_n4(self):
         ctx = make_context(4)
@@ -626,6 +629,123 @@ class TestQuadWindow:
             assert list(window) == quad_nonneg_range(a, b, c)
             ends = {window[0], window[-1]} if window else set()
             assert sorted(k for k in ends if a * k * k + b * k + c == 0) == quad_roots(a, b, c)
+
+
+# ------------------------------- type walk and rank-2 lines against the parent
+
+
+def parent_residues(period, div):
+    """The parent residue table: c over range(2 div^2), the smallest c
+    kept for each residue -c^2 period mod 2 div^2."""
+    mod = 2 * div * div
+    return {(-c * c * period) % mod: c for c in range(mod - 1, -1, -1) if gcd(c, div) == 1}
+
+
+def parent_typed_witnesses(ctx):
+    """The parent walk: every even square from -2 down to the dual-ray
+    bound, looked up in the residue table one at a time."""
+    n = ctx.n
+    period = 2 * n - 2
+    for m in range(1, period + 1):
+        if period % m:
+            continue
+        table = parent_residues(period, m)
+        s = -2
+        while 2 * s + (n + 3) * m * m >= 0:
+            c = table.get(s % (2 * m * m))
+            if c is not None:
+                u = (s + c * c * period) // (2 * m * m)
+                yield WallType(square=s, div=m), basis(23, {0: m, 1: m * u, 22: c})
+            s -= 2
+
+
+def parent_bm_wall_test(T, v_in_T):
+    """The parent rank-2 search: a particular solution per pairing and,
+    for the sum decomposition, every k of the t^2 >= 0 window."""
+    v = T.vector(v_in_T)
+    vsq = v.norm()
+    g = la.mat_vec(T.gram, v.coords)
+    dv = gcd(g[0], g[1])
+    _, x0, y0 = _xgcd(g[0], g[1])
+    u0 = (-g[1] // dv, g[0] // dv)
+    if u0[0] < 0 or (u0[0] == 0 and u0[1] < 0):
+        u0 = (-u0[0], -u0[1])
+    a_coeff = T.norm(u0)
+
+    def particular(p):
+        f = p // dv
+        return (x0 * f, y0 * f)
+
+    def line_quad(w0):
+        return a_coeff, 2 * T.inner(w0, u0), T.norm(w0)
+
+    def vec(w0, k):
+        return T.vector((w0[0] + k * u0[0], w0[1] + k * u0[1]))
+
+    if a_coeff == -2:
+        return WallWitness(WallCondition.BM_ORTH_ROOT, (T.vector(u0),), (-2, 0), against=v)
+    for cond, sq, pairings in (
+        (WallCondition.BM_ISOTROPIC, 0, (1, 2)),
+        (WallCondition.BM_BOUNDED_ROOT, -2, range(1, vsq // 2 + 1)),
+    ):
+        for p in pairings:
+            if p % dv:
+                continue
+            w0 = particular(p)
+            a, b, c = line_quad(w0)
+            window = _quad_window(a, b, c - sq)
+            for k in (window[0], window[-1]) if window else ():
+                if a * k * k + b * k + c == sq:
+                    return WallWitness(cond, (vec(w0, k),), (sq, p), against=v)
+    for pt in range(1, vsq):
+        if pt % dv:
+            continue
+        t0 = particular(pt)
+        a, b, c = line_quad(t0)
+        for k in _quad_window(a, b, c):
+            t = vec(t0, k)
+            w = vec((v.coords[0] - t0[0], v.coords[1] - t0[1]), -k)
+            if T.norm(w.coords) >= 0:
+                return WallWitness(
+                    WallCondition.BM_SUM, (w, t), (w.norm(), t.norm(), vsq - pt, pt), against=v
+                )
+    return None
+
+
+class TestAgainstParent:
+    def test_type_walk(self):
+        for n in range(2, 41):
+            ctx = make_context(n)
+            parent = list(parent_typed_witnesses(ctx))
+            assert [(t, D.coords) for t, D in _typed_witnesses(ctx)] == parent, n
+            assert enumerate_wall_types(ctx) == tuple(t for t, _ in parent)
+
+    def test_residue_table(self):
+        for period in range(2, 400, 2):
+            for div in range(1, period + 1):
+                if period % div == 0:
+                    assert _admissible_residues(period, div) == parent_residues(period, div)
+
+    def test_bm_wall_test_on_random_lattices(self):
+        # even hyperbolic Gram matrices and a class of square 1..400
+        rng = random.Random(31)
+        found = {}
+        while sum(found.values()) < 3000:
+            a, b, c = rng.randint(-12, 12), rng.randint(-25, 25), rng.randint(-12, 12)
+            if 4 * a * c >= b * b:
+                continue
+            T = IntegerLattice(((2 * a, b), (b, 2 * c)))
+            v = (rng.randint(-6, 6), rng.randint(-6, 6))
+            if not 0 < T.norm(v) <= 400:
+                continue
+            got = bm_wall_test(T, v)
+            assert got == parent_bm_wall_test(T, v), (T.gram, v)
+            key = got and got.condition
+            found[key] = found.get(key, 0) + 1
+        assert set(found) == {None, *WallCondition} - {
+            WallCondition.MK_MINUS2, WallCondition.MK_ISOTROPIC
+        }
+        assert found[WallCondition.BM_SUM] >= 500 and found[None] >= 100, found
 
 
 # ----------------------------------------- an independent one-condition oracle
