@@ -41,6 +41,7 @@ from .walls import (
     WallType,
     WallWitness,
     bm_wall_test,
+    certified_wall_orbits,
     certified_wall_types,
     dual_ray,
     eichler_invariants,
@@ -48,9 +49,7 @@ from .walls import (
     enumerate_wall_types,
     ht_bound_ok,
     hyperbolic_T,
-    isotropic_pair,
     make_context,
-    markman_wall_test,
     same_orbit,
     wall_test,
     wall_type_exists,
@@ -98,6 +97,7 @@ __all__ = [
     "WallWitness",
     "WallkitError",
     "bm_wall_test",
+    "certified_wall_orbits",
     "certified_wall_types",
     "direct_sum",
     "disc_class",
@@ -112,11 +112,9 @@ __all__ = [
     "hyperbolic_T",
     "in_dual_cone",
     "is_positive_class",
-    "isotropic_pair",
     "list_fixtures",
     "load_fixture",
     "make_context",
-    "markman_wall_test",
     "orthogonal_complement",
     "same_orbit",
     "short_vectors",

@@ -223,20 +223,31 @@ def _toward(side, x) -> tuple:
     return tuple(-c for c in x) if _dot(side, x) < 0 else tuple(x)
 
 
-def _type_lookup(types) -> dict[int, dict[int, WallType]]:
-    out: dict[int, dict[int, WallType]] = {}
+def _type_lookup(types) -> dict[int, dict[int, WallType | dict[int, WallType]]]:
+    """square -> div -> type, or -> orbit -> type where `orbit` is set."""
+    out: dict[int, dict] = {}
     for t in types:
-        out.setdefault(t.square, {})[t.div] = t
+        by_div = out.setdefault(t.square, {})
+        if t.orbit is None:
+            by_div[t.div] = t
+        else:
+            by_div.setdefault(t.div, {})[t.orbit] = t
     return out
 
 
 def _wall_type(P: PicardData, lookup, x, square) -> WallType | None:
     """The listed type of the integral class x of the given square: None
-    unless x is primitive and (square, div x) is listed."""
+    unless x is primitive and (square, div x) is listed, and, for a type
+    listed by orbit, the delta-coefficient c of E x is +-orbit mod div."""
     by_div = lookup.get(square)
     if by_div is None or gcd(*x) != 1:
         return None
-    return by_div.get(P.div_of(x))
+    d = P.div_of(x)
+    t = by_div.get(d)
+    if isinstance(t, dict):
+        c = _dot(P.embed.matrix[-1], x) % d
+        return t.get(min(c, d - c))
+    return t
 
 
 def _majorant_gram(P: PicardData, a: tuple[Fraction, ...]):

@@ -227,7 +227,7 @@ def cmd_chamber(args) -> int:
     query = fmt.parse_chamber_query(_need_input(args))
     P: cg.PicardData = query["P"]
     ctx = P.ctx
-    types = wl.certified_wall_types(ctx)
+    types = wl.certified_wall_orbits(ctx)
     omega = query["omega"]
 
     support = cg.supporting_walls_report(P, omega, types, search_bound=query["bound"])

@@ -39,8 +39,6 @@ __all__ = [
     "WallCondition",
     "WallWitness",
     "RankTwoData",
-    "isotropic_pair",
-    "markman_wall_test",
     "hyperbolic_T",
     "bm_wall_test",
     "wall_test",
@@ -48,6 +46,7 @@ __all__ = [
     "wall_type_exists",
     "enumerate_wall_types",
     "certified_wall_types",
+    "certified_wall_orbits",
     "OrbitInvariants",
     "eichler_invariants",
     "same_orbit",
@@ -105,10 +104,16 @@ def make_context(n: int) -> NContext:
 
 @dataclass(frozen=True)
 class WallType:
-    """Numerical type of a wall divisor: (square, divisibility)."""
+    """Numerical type of a wall divisor: (square, divisibility).
+
+    `orbit`, when set, narrows the type to the Eichler orbit of the
+    classes whose delta-coefficient is +-orbit mod div; it is set only
+    where the orbits of one (square, div) get different verdicts.
+    """
 
     square: int
     div: int
+    orbit: int | None = None
 
     def __post_init__(self):
         if self.square >= 0 or self.square % 2:
@@ -185,54 +190,6 @@ class WallWitness:
                 and self.pairing_data == (w.norm(), t.norm(), pw, pt)
             )
         raise InputError(f"unknown wall condition {c}")
-
-
-def isotropic_pair(ctx: NContext, D) -> tuple[LatticeVector, LatticeVector]:
-    """Primitive isotropic parts of v + D and v - D (D of square 2 - 2n).
-
-    Both are isotropic because (v +- D)^2 = v^2 + D^2 = 0; the returned
-    classes pair positively with v.
-    """
-    D = ctx.ambient.vector(D)
-    if D.norm() != 2 - 2 * ctx.n:
-        raise InputError("isotropic pair requires a class of square 2-2n")
-    if not D.is_primitive():
-        raise InputError("isotropic pair requires a primitive class")
-    iD = ctx.embed.apply(D)
-    out = []
-    for sign in (1, -1):
-        raw = tuple(a + sign * b for a, b in zip(ctx.v.coords, iD.coords))
-        c = gcd(*raw)
-        out.append(LatticeVector(ctx.mukai, tuple(x // c for x in raw)))
-    return out[0], out[1]
-
-
-def markman_wall_test(ctx: NContext, D) -> WallWitness | None:
-    """Shortcut wall certificates that avoid rank-2 lattice work.
-
-    Detects: square -2 classes (always walls), and square 2-2n classes
-    with (n-1) | div whose isotropic partner pairs 1 or 2 with v.  A None
-    result is *not* a proof that D supports no wall; run the rank-2 test.
-    """
-    D = ctx.ambient.vector(D)
-    if not D.is_primitive():
-        raise InputError("wall tests take primitive classes")
-    s = D.norm()
-    if s >= 0:
-        raise InputError("wall divisors have negative square")
-    if s == -2:
-        w = ctx.embed.apply(D)
-        return WallWitness(
-            WallCondition.MK_MINUS2, (w,), (-2, 0), against=ctx.v
-        )
-    if s == 2 - 2 * ctx.n and D.div() % (ctx.n - 1) == 0:
-        for w in isotropic_pair(ctx, D):
-            p = w.inner(ctx.v)
-            if p in (1, 2):
-                return WallWitness(
-                    WallCondition.MK_ISOTROPIC, (w,), (0, p), against=ctx.v
-                )
-    return None
 
 
 @dataclass(frozen=True)
@@ -368,16 +325,32 @@ def bm_wall_test(T: IntegerLattice, v_in_T: LatticeVector) -> WallWitness | None
 def wall_test(ctx: NContext, D) -> WallWitness | None:
     """Full wall decision for a primitive negative class D in L_n.
 
-    Tries the shortcut certificates first, then the exhaustive rank-2
-    search on the saturation of span{v, D}.  Witness vectors are always
-    reported in extension coordinates.  None means: no certificate
-    exists, i.e. D does not support a wall.
+    Shortcut certificates first, which avoid rank-2 lattice work: a class
+    of square -2 is a wall, and so is one of square 2-2n with (n-1) | div
+    when the primitive part of v + D or of v - D pairs 1 or 2 with v (both
+    are isotropic, as (v +- D)^2 = v^2 + D^2 = 0).  Otherwise the
+    exhaustive rank-2 search on the saturation of span{v, D} decides.
+    Witness vectors are always reported in extension coordinates.  None
+    means: no certificate exists, i.e. D does not support a wall.
     """
     D = ctx.ambient.vector(D)
-    mk = markman_wall_test(ctx, D)
-    if mk is not None:
-        return mk
-    data = hyperbolic_T(ctx, ctx.embed.apply(D))
+    if not D.is_primitive():
+        raise InputError("wall tests take primitive classes")
+    s = D.norm()
+    if s >= 0:
+        raise InputError("wall divisors have negative square")
+    iD = ctx.embed.apply(D)
+    if s == -2:
+        return WallWitness(WallCondition.MK_MINUS2, (iD,), (-2, 0), against=ctx.v)
+    if s == 2 - 2 * ctx.n and D.div() % (ctx.n - 1) == 0:
+        for sign in (1, -1):
+            raw = tuple(a + sign * b for a, b in zip(ctx.v.coords, iD.coords))
+            g = gcd(*raw)
+            w = LatticeVector(ctx.mukai, tuple(x // g for x in raw))
+            p = w.inner(ctx.v)
+            if p in (1, 2):
+                return WallWitness(WallCondition.MK_ISOTROPIC, (w,), (0, p), against=ctx.v)
+    data = hyperbolic_T(ctx, iD)
     bm = bm_wall_test(data.lattice, data.v_in_T)
     if bm is None:
         return None
@@ -467,6 +440,27 @@ def certified_wall_types(ctx: NContext) -> tuple[WallType, ...]:
     """Candidate types whose witness class carries a verified wall
     certificate.  Coincides with `enumerate_wall_types` for n <= 4."""
     return tuple(t for t, D in _typed_witnesses(ctx) if wall_test(ctx, D) is not None)
+
+
+def certified_wall_orbits(ctx: NContext) -> tuple[WallType, ...]:
+    """`certified_wall_types` decided per Eichler orbit.
+
+    D = lambda + c delta of div d has class (c/d) delta in L_n's
+    discriminant group, which Mon^2 moves only by sign, so the orbits of a
+    type are its coefficients c up to sign mod div.  A type whose orbits
+    get different verdicts is listed once per wall orbit, with `orbit` =
+    the c in [0, div/2]; for n <= 6 no type has two orbits."""
+    period = 2 * ctx.n - 2
+    out = []
+    for t, D in _typed_witnesses(ctx):
+        # D holds the smallest c; the other orbits follow up to div / 2
+        witnesses = {D.coords[-1]: D}
+        for c in range(D.coords[-1] + 1, t.div // 2 + 1):
+            if gcd(c, t.div) == 1 and (t.square + c * c * period) % (2 * t.div * t.div) == 0:
+                witnesses[c] = _witness(ctx, t.square, t.div, c)
+        walls = [c for c, W in witnesses.items() if wall_test(ctx, W) is not None]
+        out += [t] if len(walls) == len(witnesses) else [WallType(t.square, t.div, c) for c in walls]
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import wall_test_golden
 from test_chambers import (
     LARGE_OMEGA,
     RANK4_COLS,
@@ -217,6 +218,29 @@ class TestTabulate:
 
 
 # ---------------------------------------------------------------- wall-test
+
+
+WALL_TEST_GOLDEN = wall_test_golden.load()
+
+
+def wall_test_call_id(i, call):
+    n, payload = call["argv"][2], json.loads(call["argv"][-1])
+    if "coords" in payload:
+        return f"n{n}-coords{i}"
+    return f"n{n}-{-payload['square']}-{payload['div']}"
+
+
+# one call per type table row of n = 2..10 and per transvected class of
+# wall_tests.json, recorded before the Markman shortcut moved into wall_test
+@pytest.mark.parametrize(
+    "call", WALL_TEST_GOLDEN, ids=[wall_test_call_id(i, c) for i, c in enumerate(WALL_TEST_GOLDEN)]
+)
+def test_wall_test_json_golden_stdout(capsys, call):
+    assert run(capsys, *call["argv"]) == (call["exit"], call["stdout"], "")
+
+
+def test_wall_test_golden_covers_the_type_tables():
+    assert [c["argv"] for c in WALL_TEST_GOLDEN] == wall_test_golden.argvs()
 
 
 class TestWallTest:
@@ -574,9 +598,7 @@ def item11_report(capsys, column):
 
 
 class TestOrbitDependentWalls:
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 11")
     def test_wall_class_bounds_the_chamber(self, capsys):
-        # today: (12, -1) and (12, 1), both of type (-300, 12)
         assert item11_report(capsys, ITEM11_WALL) == (
             True,
             {((0, -1), -588, 12), ((12, 1), -300, 12)},

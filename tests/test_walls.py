@@ -15,12 +15,15 @@ import sympy
 import wallkit._linalg as la
 from test_linalg import rank
 from wallkit import (
+    Embedding,
     InputError,
     IntegerLattice,
+    LatticeVector,
     WallCondition,
     WallType,
     WallWitness,
     bm_wall_test,
+    certified_wall_orbits,
     certified_wall_types,
     divisibility,
     dual_ray,
@@ -29,14 +32,13 @@ from wallkit import (
     enumerate_wall_types,
     ht_bound_ok,
     hyperbolic_T,
-    isotropic_pair,
     make_context,
-    markman_wall_test,
     same_orbit,
     standard_lattice,
     wall_test,
     wall_type_exists,
 )
+from wallkit.chambers import PicardData, _type_lookup, _wall_type
 from wallkit.walls import _admissible_residues, _quad_window, _typed_witnesses, _xgcd
 
 
@@ -159,6 +161,75 @@ class TestWallTypeExists:
         assert wall_test(ctx, D) is None
 
 
+# ------------------------------- the Markman shortcut against the parent chain
+
+
+def isotropic_pair(ctx, D):
+    """Primitive isotropic parts of v + D and v - D (D of square 2 - 2n).
+
+    Both are isotropic because (v +- D)^2 = v^2 + D^2 = 0; the returned
+    classes pair positively with v.
+    """
+    D = ctx.ambient.vector(D)
+    if D.norm() != 2 - 2 * ctx.n:
+        raise InputError("isotropic pair requires a class of square 2-2n")
+    if not D.is_primitive():
+        raise InputError("isotropic pair requires a primitive class")
+    iD = ctx.embed.apply(D)
+    out = []
+    for sign in (1, -1):
+        raw = tuple(a + sign * b for a, b in zip(ctx.v.coords, iD.coords))
+        c = gcd(*raw)
+        out.append(LatticeVector(ctx.mukai, tuple(x // c for x in raw)))
+    return out[0], out[1]
+
+
+def markman_wall_test(ctx, D):
+    """Shortcut wall certificates that avoid rank-2 lattice work.
+
+    Detects: square -2 classes (always walls), and square 2-2n classes
+    with (n-1) | div whose isotropic partner pairs 1 or 2 with v.  A None
+    result is *not* a proof that D supports no wall; run the rank-2 test.
+    """
+    D = ctx.ambient.vector(D)
+    if not D.is_primitive():
+        raise InputError("wall tests take primitive classes")
+    s = D.norm()
+    if s >= 0:
+        raise InputError("wall divisors have negative square")
+    if s == -2:
+        w = ctx.embed.apply(D)
+        return WallWitness(
+            WallCondition.MK_MINUS2, (w,), (-2, 0), against=ctx.v
+        )
+    if s == 2 - 2 * ctx.n and D.div() % (ctx.n - 1) == 0:
+        for w in isotropic_pair(ctx, D):
+            p = w.inner(ctx.v)
+            if p in (1, 2):
+                return WallWitness(
+                    WallCondition.MK_ISOTROPIC, (w,), (0, p), against=ctx.v
+                )
+    return None
+
+
+def parent_wall_test(ctx, D):
+    """The parent chain: `markman_wall_test`, then the rank-2 search."""
+    D = ctx.ambient.vector(D)
+    mk = markman_wall_test(ctx, D)
+    if mk is not None:
+        return mk
+    data = hyperbolic_T(ctx, ctx.embed.apply(D))
+    bm = bm_wall_test(data.lattice, data.v_in_T)
+    if bm is None:
+        return None
+    return WallWitness(
+        condition=bm.condition,
+        vectors=tuple(data.embed.apply(w) for w in bm.vectors),
+        pairing_data=bm.pairing_data,
+        against=ctx.v,
+    )
+
+
 class TestMarkman:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_minus_two_always_detects(self, n):
@@ -166,7 +237,7 @@ class TestMarkman:
         rng = random.Random(100 + n)
         D = basis(23, {0: 1, 1: -1})
         for _ in range(8):
-            wit = markman_wall_test(ctx, D)
+            wit = wall_test(ctx, D)
             assert wit is not None
             assert wit.condition in (WallCondition.MK_MINUS2,)
             assert wit.check()
@@ -176,13 +247,13 @@ class TestMarkman:
     def test_delta_detects(self):
         for n in (2, 3, 5, 8):
             ctx = make_context(n)
-            wit = markman_wall_test(ctx, ctx.delta)
+            wit = wall_test(ctx, ctx.delta)
             assert wit is not None and wit.check()
 
     def test_nonprimitive_rejected(self):
         ctx = make_context(3)
         with pytest.raises(InputError):
-            markman_wall_test(ctx, basis(23, {22: 2}))
+            wall_test(ctx, basis(23, {22: 2}))
 
     def test_silent_on_undecided(self):
         # square matching neither -2 nor 2-2n: the shortcut stays silent
@@ -208,11 +279,47 @@ class TestIsotropicPair:
         minus = tuple(a - b for a, b in zip(v.coords, img.coords))
         parts = {tuple(c // gcd(*x) for c in x) for x in (plus, minus)}
         assert {w1.coords, w2.coords} == parts
+        # wall_test certifies delta by the first part pairing 1 or 2 with v
+        wit = wall_test(ctx, ctx.delta)
+        assert wit.condition is WallCondition.MK_ISOTROPIC
+        assert wit.vectors == (next(w for w in (w1, w2) if w.inner(v) in (1, 2)),)
 
-    def test_wrong_square_rejected(self):
+
+class TestAgainstParentChain:
+    def test_every_typed_witness_and_a_transvected_copy(self):
+        # one transvection per hyperbolic-plane base class e_k, k in 0..3
+        seen = {}
+        for n in range(2, 41):
+            ctx = make_context(n)
+            rng = random.Random(3200 + n)
+            mats = [transvection_matrix(ctx.ambient, k, rng) for k in range(4)]
+            for i, (t, D) in enumerate(_typed_witnesses(ctx)):
+                for x in (D.coords, la.mat_vec(mats[i % 4], D.coords)):
+                    got = wall_test(ctx, x)
+                    assert got == parent_wall_test(ctx, x), (n, t, x)
+                    key = got and got.condition
+                    seen[key] = seen.get(key, 0) + 1
+        # the shortcut takes every orthogonal root and isotropic class first
+        assert set(seen) == {None, *WallCondition} - {
+            WallCondition.BM_ORTH_ROOT, WallCondition.BM_ISOTROPIC
+        }, seen
+        assert sum(seen.values()) == 2 * 4942
+
+    @pytest.mark.parametrize(
+        "coords, message",
+        [
+            (basis(23, {22: 2}), "wall tests take primitive classes"),
+            ((0,) * 23, "wall tests take primitive classes"),
+            (basis(23, {0: 1, 1: 1}), "wall divisors have negative square"),
+            (basis(23, {0: 1}), "wall divisors have negative square"),
+        ],
+        ids=["nonprimitive", "zero", "positive", "isotropic"],
+    )
+    def test_same_input_errors(self, coords, message):
         ctx = make_context(3)
-        with pytest.raises(InputError):
-            isotropic_pair(ctx, basis(23, {0: 1, 1: -1}))
+        for test in (wall_test, parent_wall_test):
+            with pytest.raises(InputError, match=message):
+                test(ctx, coords)
 
 
 class TestWallTestWitnesses:
@@ -392,17 +499,22 @@ class TestRecordedWallTests:
         assert list(data.s_in_T.coords) == case["s_in_T"]
 
 
-def transvect(lattice, coords, rng):
-    """One random hyperbolic-plane transvection applied to coords."""
+def transvection_matrix(lattice, k, rng, fixed=()):
+    """A random transvection with base class e_k, k in 0..3, and a partner
+    with entries in -2..2, zero at k's partner and at the `fixed` indices."""
     partner = {0: 1, 1: 0, 2: 3, 3: 2}
-    k = rng.choice((0, 1, 2, 3))
     e = basis(lattice.rank, {k: 1})
     while True:
         a = [rng.randint(-2, 2) for _ in range(lattice.rank)]
-        a[partner[k]] = 0
+        for i in (partner[k], *fixed):
+            a[i] = 0
         if any(a):
-            break
-    mat = eichler_transvection(lattice, e, tuple(a))
+            return eichler_transvection(lattice, e, tuple(a))
+
+
+def transvect(lattice, coords, rng):
+    """One random hyperbolic-plane transvection applied to coords."""
+    mat = transvection_matrix(lattice, rng.choice((0, 1, 2, 3)), rng)
     return tuple(
         sum(mat[i][j] * coords[j] for j in range(lattice.rank))
         for i in range(lattice.rank)
@@ -825,3 +937,64 @@ class TestOneConditionOracle:
             ctx = make_context(case["n"])
             D = ctx.ambient.vector(case["class"])
             assert one_condition_wall(ctx, D) == (wall_test(ctx, D) is not None), case["class"]
+
+
+# ---------------------------------------- wall types decided per Eichler orbit
+
+
+def orbit_key(D, div):
+    """The orbit of D by its delta-coefficient c: min(c, -c) mod div."""
+    c = D.coords[-1] % div
+    return min(c, -c % div)
+
+
+class TestWallOrbits:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_equal_to_certified_types_up_to_n6(self, n):
+        ctx = make_context(n)
+        assert certified_wall_orbits(ctx) == certified_wall_types(ctx)
+
+    def test_every_orbit_verdict_is_listed(self):
+        flagged = []
+        for n in range(2, 16):
+            ctx = make_context(n)
+            listed = certified_wall_orbits(ctx)
+            assert [t for t in listed if t.orbit is None] == list(certified_wall_types(ctx))
+            verdicts = {}
+            for t, D in orbit_witnesses(ctx):
+                wall = wall_test(ctx, D) is not None
+                verdicts.setdefault((t.square, t.div), []).append(wall)
+                as_type = WallType(t.square, t.div) in listed
+                as_orbit = WallType(t.square, t.div, orbit_key(D, t.div)) in listed
+                assert as_type + as_orbit == wall, (n, t, D.coords)
+            # `orbit` is set exactly on the types whose orbits disagree
+            split = [(n, *k) for k, vs in verdicts.items() if len(set(vs)) > 1]
+            assert sorted((n, t.square, t.div) for t in listed if t.orbit is not None) == sorted(split)
+            flagged += split
+        assert [n for n, _, _ in flagged] == [7, 9] + [11] * 3 + [13] * 5 + [15] * 6
+
+    @pytest.mark.parametrize("n", [7, 9, 11])
+    def test_chamber_lookup_reads_the_orbit(self, n):
+        # pic = <2> + <D^2> on h = e + f of the third hyperbolic plane and
+        # +- a transvected orbit witness of a split type; the transvections
+        # fix h and keep c mod div, the sign flips it
+        ctx = make_context(n)
+        listed = certified_wall_orbits(ctx)
+        lookup = _type_lookup(listed)
+        split = {(t.square, t.div) for t in listed if t.orbit is not None}
+        rng = random.Random(700 + n)
+        h = basis(23, {4: 1, 5: 1})
+        checked = 0  # +- the class and four transvected copies, per orbit
+        for t, D in orbit_witnesses(ctx):
+            if (t.square, t.div) not in split:
+                continue
+            moves = [transvection_matrix(ctx.ambient, k, rng, fixed=(4, 5)) for k in range(4)]
+            for y in [D.coords] + [la.mat_vec(m, D.coords) for m in moves]:
+                for x in (y, tuple(-c for c in y)):
+                    pic = IntegerLattice(((2, 0), (0, t.square)))
+                    embed = Embedding(pic, ctx.ambient, tuple(zip(h, x)))
+                    got = _wall_type(PicardData(ctx, pic, embed), lookup, (0, 1), t.square)
+                    wall = wall_test(ctx, x) is not None
+                    assert got == (WallType(t.square, t.div, orbit_key(D, t.div)) if wall else None)
+                    checked += 1
+        assert checked == 20 * len(split)
