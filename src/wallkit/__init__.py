@@ -1,8 +1,8 @@
 """Exact wall-and-chamber computations for the K3^[n] lattice family.
 
-The package computes, in exact integer/rational arithmetic: discriminant
-groups and orbit invariants of even lattices, short-vector enumeration,
-wall-divisor certificates in the rank-23 family lattice L_n and its
+The package computes, in exact integer/rational arithmetic: divisibility
+and Eichler-orbit invariants of classes in the rank-23 family lattice L_n,
+short-vector enumeration, wall-divisor certificates in L_n and its
 unimodular extension, the candidate/certified wall-type tables, and the
 wall-and-chamber geometry of the positive cone for a Picard sublattice
 (separating walls, supporting facets with rational certificates, dual
@@ -18,13 +18,10 @@ from .errors import (
     WallkitError,
 )
 from .lattice import (
-    DiscriminantGroup,
     Embedding,
     IntegerLattice,
     LatticeVector,
     direct_sum,
-    disc_class,
-    discriminant_group,
     divisibility,
     orthogonal_complement,
     signature,
@@ -50,7 +47,6 @@ from .walls import (
     ht_bound_ok,
     hyperbolic_T,
     make_context,
-    same_orbit,
     wall_test,
     wall_type_exists,
 )
@@ -77,7 +73,6 @@ __version__ = "1.0.0"
 __all__ = [
     "CellBudget",
     "ConfigurationError",
-    "DiscriminantGroup",
     "Embedding",
     "EnumerationBudgetExceeded",
     "ExtremalRay",
@@ -100,8 +95,6 @@ __all__ = [
     "certified_wall_orbits",
     "certified_wall_types",
     "direct_sum",
-    "disc_class",
-    "discriminant_group",
     "divisibility",
     "dual_ray",
     "eichler_invariants",
@@ -116,7 +109,6 @@ __all__ = [
     "load_fixture",
     "make_context",
     "orthogonal_complement",
-    "same_orbit",
     "short_vectors",
     "signature",
     "standard_lattice",

@@ -153,23 +153,23 @@ def _check_delta(fx: dict, rec: _Recorder, seed: int) -> None:
         rec.add(f"square[{tag}]", case["square"], d.norm())
         rec.add(f"div[{tag}]", case["div"], dv)
         _witness_checks(rec, f"[{tag}]", ctx, d, case["condition"], case["pairing"])
-        q = ctx.disc.q(ctx.disc.class_of(d.coords, dv))
+        q = Fraction(d.norm(), dv * dv) % 2  # q([delta/div]) in Q/2Z
         rec.add(f"disc-form-value[{tag}]", parse_frac(case["disc_q"]), q)
 
         rng = random.Random(seed * 1000 + n)
-        base = wl.eichler_invariants(ctx.ambient, d)
+        base = wl.eichler_invariants(ctx, d)
         moved = d.coords
         for _ in range(fx["transvection_trials"]):
             moved = _random_transvection_image(ctx.ambient, moved, rng)
-        after = wl.eichler_invariants(ctx.ambient, moved)
+        after = wl.eichler_invariants(ctx, moved)
         rec.add(
             f"transvection-invariants[{tag}]",
             (base.square, base.div, base.disc),
             (after.square, after.div, after.disc),
         )
-        rec.true(f"orbit-after-transvections[{tag}]", wl.same_orbit(ctx.ambient, d.coords, moved))
+        rec.true(f"orbit-after-transvections[{tag}]", base == after)
         root = _basis_coords(ctx.ambient.rank, {0: 1, 1: -1})
-        rec.add(f"orbit-vs-div1-root[{tag}]", False, wl.same_orbit(ctx.ambient, d.coords, root))
+        rec.add(f"orbit-vs-div1-root[{tag}]", False, base == wl.eichler_invariants(ctx, root))
 
 
 def _check_minus_two_curve(fx: dict, rec: _Recorder, seed: int) -> None:
@@ -183,10 +183,10 @@ def _check_minus_two_curve(fx: dict, rec: _Recorder, seed: int) -> None:
         rec.add(f"dual-ray-is-self[{tag}]", tuple(Fraction(c) for c in D), wl.dual_ray(ctx, D))
         types = wl.enumerate_wall_types(ctx)
         rec.true(f"type-in-table[{tag}]", WallType(-2, 1) in types)
-        inv = wl.eichler_invariants(ctx.ambient, D)
+        inv = wl.eichler_invariants(ctx, D)
         rec.add(f"disc-class-trivial[{tag}]", tuple(0 for _ in inv.disc), inv.disc)
         other = _basis_coords(ctx.ambient.rank, {2: 1, 3: -1})
-        rec.true(f"orbit-of-second-root[{tag}]", wl.same_orbit(ctx.ambient, D, other))
+        rec.true(f"orbit-of-second-root[{tag}]", inv == wl.eichler_invariants(ctx, other))
 
 
 def _chamber_case(case: dict, rec: _Recorder, tag: str, certified: bool):

@@ -6,7 +6,8 @@ tabulate   wall-type rows for one n
            --n, --format (json / csv / table), --certified, --quiet
 wall-test  decide whether a class or a (square, div) type supports a wall
            --n, --format (json / table), --input, --quiet
-orbit      compare two primitive classes under the isometry group of L_n
+orbit      compare two primitive classes under the stable orthogonal group
+           O~+(L_n), by Eichler's criterion (not under every isometry)
            --n, --format (json / table), --input, --quiet
 chamber    supporting walls, certificates, and dual rays for a Picard query
            --format (json / table), --input, --quiet; the search bound is
@@ -199,9 +200,9 @@ def cmd_orbit(args) -> int:
         raise InputError('orbit input needs "v" and "w" coordinate lists')
     v = fmt.parse_vector(payload["v"], ctx.ambient.rank)
     w = fmt.parse_vector(payload["w"], ctx.ambient.rank)
-    inv_v = wl.eichler_invariants(ctx.ambient, v)
-    inv_w = wl.eichler_invariants(ctx.ambient, w)
-    same = inv_v == inv_w  # L_n splits off two hyperbolic planes
+    inv_v = wl.eichler_invariants(ctx, v)
+    inv_w = wl.eichler_invariants(ctx, w)
+    same = inv_v == inv_w
     result = {
         "n": args.n,
         "v": {"square": inv_v.square, "div": inv_v.div, "disc": list(inv_v.disc)},

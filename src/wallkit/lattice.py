@@ -1,4 +1,4 @@
-"""Even integer lattices: Gram data, duals, embeddings, discriminant forms.
+"""Even integer lattices: Gram data, divisibility, embeddings, saturation.
 
 A lattice here is a free Z-module of finite rank with an even symmetric
 integer Gram matrix, always handled in a fixed basis.  Vectors are
@@ -7,7 +7,6 @@ coordinate tuples in that basis.  All arithmetic is exact (int/Fraction).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -20,12 +19,9 @@ __all__ = [
     "IntegerLattice",
     "LatticeVector",
     "Embedding",
-    "DiscriminantGroup",
     "direct_sum",
     "standard_lattice",
-    "discriminant_group",
     "divisibility",
-    "disc_class",
     "orthogonal_complement",
     "signature",
 ]
@@ -34,16 +30,11 @@ __all__ = [
 class IntegerLattice:
     """An even lattice given by its Gram matrix in a fixed basis.
 
-    `blocks` records the orthogonal summands the lattice was assembled
-    from (constructor bookkeeping, e.g. ("U", "U", "E8(-1)", "<-4>")).
-    It is trusted only for lattices built by `standard_lattice` /
-    `direct_sum`; ad hoc Gram matrices get no block tags.  Equality and
-    hashing read only the Gram matrix, not `label` or `blocks`.
+    Equality and hashing read only the Gram matrix, not `label`.
     """
 
     gram: tuple[tuple[int, ...], ...]
     label: str | None = field(default=None, compare=False)
-    blocks: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         g = tuple(map(_int_coords, self.gram))
@@ -59,7 +50,6 @@ class IntegerLattice:
             for j in range(i):
                 if g[i][j] != g[j][i]:
                     raise InputError("Gram matrix must be symmetric")
-        object.__setattr__(self, "blocks", tuple(self.blocks))
 
     @property
     def rank(self) -> int:
@@ -228,12 +218,9 @@ def direct_sum(parts: Iterable[IntegerLattice], label: str | None = None) -> Int
         for row in p.gram:
             rows.append((0,) * offset + tuple(row) + (0,) * (total - offset - p.rank))
         offset += p.rank
-    blocks: list[str] = []
-    for p in parts:
-        blocks.extend(p.blocks if p.blocks else (p.label or "block",))
     if label is None:
         label = " + ".join(p.label or "?" for p in parts)
-    return IntegerLattice(tuple(rows), label=label, blocks=tuple(blocks))
+    return IntegerLattice(tuple(rows), label=label)
 
 
 _U_GRAM = ((0, 1), (1, 0))
@@ -257,15 +244,15 @@ def standard_lattice(name: str, param: int | None = None) -> IntegerLattice:
     "Ln" (with param n >= 2), "mukai".
     """
     if name == "U":
-        return IntegerLattice(_U_GRAM, label="U", blocks=("U",))
+        return IntegerLattice(_U_GRAM, label="U")
     if name == "E8(-1)":
-        return IntegerLattice(_E8_MINUS_GRAM, label="E8(-1)", blocks=("E8(-1)",))
+        return IntegerLattice(_E8_MINUS_GRAM, label="E8(-1)")
     if name == "rank1":
         if param is None:
             raise InputError("rank1 lattice needs its square as param")
         if param % 2:
             raise InputError(f"rank1 lattice <{param}> is not even")
-        return IntegerLattice(((param,),), label=f"<{param}>", blocks=(f"<{param}>",))
+        return IntegerLattice(((param,),), label=f"<{param}>")
     if name == "Ln":
         if param is None or param < 2:
             raise InputError("Ln needs param n >= 2")
@@ -291,47 +278,6 @@ def divisibility(lattice: IntegerLattice, v: Sequence[int]) -> int:
     return d
 
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
-    """The finite quadratic form (A_L = L^dual / L, q, b).
-
-    `invariant_factors` lists the nontrivial cyclic orders d_1 | d_2 | ...;
-    `generators` are rational coordinate vectors (in the lattice basis) of
-    the corresponding dual classes.  Elements are exponent tuples over the
-    generators.  q takes values in Q/2Z normalized to [0, 2); b in Q/Z
-    normalized to [0, 1).
-    """
-
-    lattice: IntegerLattice
-    invariant_factors: tuple[int, ...]
-    generators: tuple[tuple[Fraction, ...], ...]
-    _qinv: tuple[tuple[int, ...], ...] = field(repr=False)
-    _diag: tuple[int, ...] = field(repr=False)
-
-    def q(self, exponents: Sequence[int]) -> Fraction:
-        if len(exponents) != len(self.invariant_factors):
-            raise InputError("exponent tuple has wrong length")
-        x = la.mat_vec(la.transpose(self.generators), exponents)
-        return Fraction(la.vec_mat_vec(x, self.lattice.gram, x)) % 2
-
-    def class_of(self, v: Sequence[int], m: int) -> tuple[int, ...]:
-        """Exponent tuple of [v/m] in A_L; InputError if v/m is not dual."""
-        coords = _coords_in(self.lattice, v)
-        if m <= 0:
-            raise InputError("denominator must be positive")
-        u = la.mat_vec(self._qinv, coords)
-        full = self._diag
-        exps = []
-        for ui, di in zip(u, full):
-            num = di * ui
-            if num % m:
-                raise InputError(f"{coords} / {m} does not lie in the dual lattice")
-            exps.append((num // m) % di if di > 1 else 0)
-        return tuple(
-            e for e, d in zip(exps, full) if d > 1
-        )
-
-
 def _exact_quotient(v: Sequence[int], d: int) -> tuple[int, ...]:
     """v / d, where a Smith identity says that d divides every entry."""
     out = []
@@ -341,37 +287,6 @@ def _exact_quotient(v: Sequence[int], d: int) -> tuple[int, ...]:
             raise InternalError(f"Smith identity broken: {d} does not divide {tuple(v)}")
         out.append(q)
     return tuple(out)
-
-
-@functools.lru_cache(maxsize=None)
-def discriminant_group(lattice: IntegerLattice) -> DiscriminantGroup:
-    p, d, q = la.smith_normal_form(lattice.gram)
-    n = lattice.rank
-    diag = tuple(d[i][i] for i in range(n))
-    if 0 in diag:
-        raise InputError("discriminant group of a degenerate lattice")
-    factors = []
-    gens = []
-    cols = la.transpose(q)
-    for i in range(n):
-        if diag[i] > 1:
-            factors.append(diag[i])
-            gens.append(tuple(Fraction(x, diag[i]) for x in cols[i]))
-    # G is invertible and P G = D Q^-1: row i of Q^-1 is row i of P G over d_i
-    pg = la.mat_mul(p, lattice.gram)
-    qinv = tuple(_exact_quotient(pg[i], diag[i]) for i in range(n))
-    return DiscriminantGroup(
-        lattice=lattice,
-        invariant_factors=tuple(factors),
-        generators=tuple(gens),
-        _qinv=qinv,
-        _diag=diag,
-    )
-
-
-def disc_class(lattice: IntegerLattice, v: Sequence[int], m: int) -> tuple[int, ...]:
-    """Class of v/m in the discriminant group, as an exponent tuple."""
-    return discriminant_group(lattice).class_of(v, m)
 
 
 def orthogonal_complement(

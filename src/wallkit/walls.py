@@ -21,14 +21,10 @@ from math import gcd, isqrt
 from . import _linalg as la
 from .errors import InputError, InternalError
 from .lattice import (
-    DiscriminantGroup,
     Embedding,
     IntegerLattice,
     LatticeVector,
     _saturate,
-    disc_class,
-    discriminant_group,
-    divisibility,
     standard_lattice,
 )
 
@@ -49,7 +45,6 @@ __all__ = [
     "certified_wall_orbits",
     "OrbitInvariants",
     "eichler_invariants",
-    "same_orbit",
     "eichler_transvection",
     "dual_ray",
 ]
@@ -64,7 +59,6 @@ class NContext:
     mukai: IntegerLattice  # unimodular extension, rank 24
     v: LatticeVector  # distinguished class, v^2 = 2n-2
     embed: Embedding  # L_n -> extension, image = v-perp
-    disc: DiscriminantGroup  # of L_n
 
     @property
     def delta(self) -> LatticeVector:
@@ -92,14 +86,7 @@ def make_context(n: int) -> NContext:
         raise InternalError("ambient image is not orthogonal to v")
     if not emb.is_primitive():
         raise InternalError("ambient embedding is not primitive")
-    return NContext(
-        n=n,
-        ambient=ambient,
-        mukai=mukai,
-        v=v,
-        embed=emb,
-        disc=discriminant_group(ambient),
-    )
+    return NContext(n=n, ambient=ambient, mukai=mukai, v=v, embed=emb)
 
 
 @dataclass(frozen=True)
@@ -326,10 +313,12 @@ def wall_test(ctx: NContext, D) -> WallWitness | None:
     """Full wall decision for a primitive negative class D in L_n.
 
     Shortcut certificates first, which avoid rank-2 lattice work: a class
-    of square -2 is a wall, and so is one of square 2-2n with (n-1) | div
-    when the primitive part of v + D or of v - D pairs 1 or 2 with v (both
-    are isotropic, as (v +- D)^2 = v^2 + D^2 = 0).  Otherwise the
-    exhaustive rank-2 search on the saturation of span{v, D} decides.
+    of square -2 is a wall, and so is one of square 2-2n when the
+    primitive part of v + D or of v - D pairs 1 or 2 with v (both are
+    isotropic, as (v +- D)^2 = v^2 + D^2 = 0).  That pairing forces
+    (n-1) | div: (v +- D)/g pairs (2n-2)/g with v, so g is 2n-2 or n-1,
+    and g divides D's pairings.  Otherwise the exhaustive rank-2 search
+    on the saturation of span{v, D} decides.
     Witness vectors are always reported in extension coordinates.  None
     means: no certificate exists, i.e. D does not support a wall.
     """
@@ -342,7 +331,7 @@ def wall_test(ctx: NContext, D) -> WallWitness | None:
     iD = ctx.embed.apply(D)
     if s == -2:
         return WallWitness(WallCondition.MK_MINUS2, (iD,), (-2, 0), against=ctx.v)
-    if s == 2 - 2 * ctx.n and D.div() % (ctx.n - 1) == 0:
+    if s == 2 - 2 * ctx.n:
         for sign in (1, -1):
             raw = tuple(a + sign * b for a, b in zip(ctx.v.coords, iD.coords))
             g = gcd(*raw)
@@ -465,36 +454,31 @@ def certified_wall_orbits(ctx: NContext) -> tuple[WallType, ...]:
 
 @dataclass(frozen=True)
 class OrbitInvariants:
-    """Complete isometry-orbit invariants for primitive classes in lattices
-    with two orthogonal hyperbolic planes: square, divisibility, and the
-    class of v/div in the discriminant group (exponents over its cyclic
-    generators)."""
+    """Eichler-orbit invariants of a primitive class of L_n: square,
+    divisibility, and the class of v/div in the cyclic discriminant group
+    of L_n, as its exponent over the generator delta/(2n-2).
+
+    L_n splits off two hyperbolic planes, so by Eichler's criterion equal
+    invariants mean one orbit of the stable orthogonal group O~+(L_n),
+    the isometries acting trivially on the discriminant group.  Other
+    isometries join orbits: -id maps delta (class 1) to -delta (class
+    2n-3).  The wall property reads the class up to sign, as Mon^2 acts
+    on the discriminant group by +-1."""
 
     square: int
     div: int
     disc: tuple[int, ...]
 
 
-def eichler_invariants(lattice: IntegerLattice, v) -> OrbitInvariants:
-    v = lattice.vector(v)
+def eichler_invariants(ctx: NContext, v) -> OrbitInvariants:
+    """Invariants of a primitive v = lambda + c delta of L_n.  lambda lies
+    in the unimodular part, so div v = d divides it and [v/d] = (c/d) delta
+    = c (2n-2)/d [delta/(2n-2)]."""
+    v = ctx.ambient.vector(v)
     if not v.is_primitive():
         raise InputError("orbit invariants take primitive classes")
-    d = divisibility(lattice, v.coords)
-    return OrbitInvariants(
-        square=v.norm(), div=d, disc=disc_class(lattice, v.coords, d)
-    )
-
-
-def same_orbit(lattice: IntegerLattice, v, w) -> bool:
-    """Orbit equality test via the invariant triple.
-
-    Valid when the lattice splits off two orthogonal hyperbolic planes,
-    read off its block tags (`standard_lattice`, `direct_sum` and
-    `IntegerLattice(..., blocks=...)` set them).
-    """
-    if lattice.blocks.count("U") < 2:
-        raise InputError("orbit comparison needs a lattice tagged with two hyperbolic plane (U) blocks")
-    return eichler_invariants(lattice, v) == eichler_invariants(lattice, w)
+    d, period = v.div(), 2 * ctx.n - 2
+    return OrbitInvariants(square=v.norm(), div=d, disc=(v.coords[-1] * (period // d) % period,))
 
 
 def eichler_transvection(lattice: IntegerLattice, e, a) -> tuple[tuple[int, ...], ...]:

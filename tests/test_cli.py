@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import orbit_golden
 import wall_test_golden
 from test_chambers import (
     LARGE_OMEGA,
@@ -241,6 +242,27 @@ def test_wall_test_json_golden_stdout(capsys, call):
 
 def test_wall_test_golden_covers_the_type_tables():
     assert [c["argv"] for c in WALL_TEST_GOLDEN] == wall_test_golden.argvs()
+
+
+# -------------------------------------------------------------- orbit golden
+
+
+ORBIT_GOLDEN = wall_test_golden.load(orbit_golden.GOLDEN)
+
+
+# each type table witness of n = 2..20 against a transvected copy, its
+# negative and the next row's witness, recorded while the disc class was
+# still read off the Smith form of L_n
+@pytest.mark.parametrize(
+    "call", ORBIT_GOLDEN, ids=[f"{c['argv'][4]}-n{c['argv'][2]}-{i}" for i, c in enumerate(ORBIT_GOLDEN)]
+)
+def test_orbit_golden_stdout(capsys, call):
+    code, out, _ = run(capsys, *call["argv"])
+    assert (code, out) == (call["exit"], call["stdout"])
+
+
+def test_orbit_golden_covers_the_type_tables():
+    assert [c["argv"] for c in ORBIT_GOLDEN] == orbit_golden.argvs()
 
 
 class TestWallTest:

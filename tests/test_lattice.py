@@ -1,4 +1,5 @@
-"""Lattice constructions, discriminant groups, and sublattice operations."""
+"""Lattice constructions, sublattice operations, and the discriminant-group
+oracle of `discriminant_oracle`."""
 
 import itertools
 import random
@@ -8,6 +9,7 @@ import pytest
 import sympy
 
 import wallkit._linalg as la
+from discriminant_oracle import disc_class, discriminant_group
 from wallkit import (
     Embedding,
     InputError,
@@ -16,8 +18,6 @@ from wallkit import (
     LatticeVector,
     PicardData,
     direct_sum,
-    disc_class,
-    discriminant_group,
     divisibility,
     make_context,
     orthogonal_complement,
@@ -144,10 +144,6 @@ class TestDirectSum:
         S = direct_sum([U, standard_lattice("rank1", -2)])
         assert S.rank == 3
         assert S.gram[0][2] == 0 and S.gram[2][2] == -2
-
-    def test_block_tags_survive(self):
-        S = direct_sum([U, U])
-        assert S.blocks.count("U") == 2
 
 
 class TestDiscriminantGroup:
@@ -281,15 +277,15 @@ class TestEmbedding:
 
 
 class TestBookkeepingFields:
-    """`label` and `blocks` are bookkeeping: only the Gram matrix decides
+    """`label` is bookkeeping: only the Gram matrix decides
     equality, so a relabelled copy is the same lattice everywhere."""
 
     def test_equality_and_hash_read_only_the_gram(self):
         L = standard_lattice("Ln", 3)
         bare = IntegerLattice(L.gram)
         assert bare == L and hash(bare) == hash(L)
-        assert IntegerLattice(L.gram, label="other", blocks=("U",)) == L
-        other = IntegerLattice(standard_lattice("Ln", 4).gram, label=L.label, blocks=L.blocks)
+        assert IntegerLattice(L.gram, label="other") == L
+        other = IntegerLattice(standard_lattice("Ln", 4).gram, label=L.label)
         assert other != L
 
     def test_picard_data_accepts_relabelled_source(self):

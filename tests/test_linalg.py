@@ -12,13 +12,13 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 import wallkit._linalg as la
+from discriminant_oracle import discriminant_group
 from test_chambers import DIV_LATTICES, picard, solve_fraction
 from test_cli import subprocess_env
 from wallkit import (
     IntegerLattice,
     InternalError,
     direct_sum,
-    discriminant_group,
     orthogonal_complement,
     standard_lattice,
 )

@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 import sympy
 
+import discriminant_oracle as parent
 import wallkit._linalg as la
+from orbit_golden import transvected
 from test_linalg import rank
 from wallkit import (
     Embedding,
@@ -33,7 +35,6 @@ from wallkit import (
     ht_bound_ok,
     hyperbolic_T,
     make_context,
-    same_orbit,
     standard_lattice,
     wall_test,
     wall_type_exists,
@@ -528,18 +529,20 @@ class TestOrbits:
         rng = random.Random(n)
         L = ctx.ambient
         start = ctx.delta.coords
-        base = eichler_invariants(L, start)
+        base = eichler_invariants(ctx, start)
+        assert base == parent.eichler_invariants(L, start)
         x = start
         for _ in range(10):
             x = transvect(L, x, rng)
-            inv = eichler_invariants(L, x)
+            inv = eichler_invariants(ctx, x)
             assert (inv.square, inv.div, inv.disc) == (base.square, base.div, base.disc)
-            assert same_orbit(L, start, x)
+            assert parent.same_orbit(L, start, x)
 
     def test_div_differs_means_different_orbit(self):
         ctx = make_context(3)
-        L = ctx.ambient
-        assert not same_orbit(L, ctx.delta.coords, basis(23, {0: 1, 1: -1}))
+        root = basis(23, {0: 1, 1: -1})
+        assert eichler_invariants(ctx, ctx.delta) != eichler_invariants(ctx, root)
+        assert not parent.same_orbit(ctx.ambient, ctx.delta.coords, root)
 
     def test_equivalence_relation_on_samples(self):
         ctx = make_context(3)
@@ -552,21 +555,20 @@ class TestOrbits:
             for _ in range(3):
                 x = transvect(L, x, rng)
                 sample.append((r, x))
+
+        def same(x, y):
+            verdict = eichler_invariants(ctx, x) == eichler_invariants(ctx, y)
+            assert verdict == parent.same_orbit(L, x, y)
+            return verdict
+
         for r, x in sample:
-            assert same_orbit(L, x, x)  # reflexive
-            assert same_orbit(L, r, x) == same_orbit(L, x, r)  # symmetric
+            assert same(x, x)  # reflexive
+            assert same(r, x) == same(x, r)  # symmetric
         # transitive across the chain pieces with equal invariants
         for r, x in sample:
             for r2, y in sample:
-                if same_orbit(L, x, y) and same_orbit(L, y, r2):
-                    assert same_orbit(L, x, r2)
-
-    def test_two_u_hypothesis_enforced(self):
-        from wallkit import IntegerLattice, direct_sum
-
-        L = direct_sum([standard_lattice("U"), standard_lattice("rank1", -2)])
-        with pytest.raises(InputError):
-            same_orbit(L, (1, 0, 0), (0, 1, 0))
+                if same(x, y) and same(y, r2):
+                    assert same(x, r2)
 
     def test_transvection_requires_isotropic_direction(self):
         ctx = make_context(2)
@@ -577,6 +579,57 @@ class TestOrbits:
         ctx = make_context(2)
         with pytest.raises(InputError):
             eichler_transvection(ctx.ambient, basis(23, {0: 1}), basis(23, {1: 1}))
+
+
+def random_primitive_classes(ctx, rng, count):
+    """Primitive d lambda + c delta with d | 2n - 2 drawn at random, lambda
+    with entries in -3..3 and c in -(2n - 2)..2n - 2."""
+    period = 2 * ctx.n - 2
+    divisors = [d for d in range(1, period + 1) if period % d == 0]
+    out = []
+    while len(out) < count:
+        d = rng.choice(divisors)
+        x = [d * rng.randint(-3, 3) for _ in range(22)] + [rng.randint(-period, period)]
+        if gcd(*x) == 1:
+            out.append(x)
+    return out
+
+
+class TestEichlerInvariantsAgainstParent:
+    """`eichler_invariants` reads [v/div] off v's delta-coefficient; the
+    parent read it off the Smith form of L_n's Gram matrix."""
+
+    def test_typed_witnesses_transvected_and_random_classes(self):
+        rng = random.Random(33)
+        checked = 0
+        for n in range(2, 41):
+            ctx = make_context(n)
+            L = ctx.ambient
+            classes = random_primitive_classes(ctx, rng, 60)
+            for _, D in _typed_witnesses(ctx):
+                x = list(D.coords)
+                classes += [x, [-c for c in x]]
+                for _ in range(3):  # a chain of three transvections
+                    x = transvected(L, x, rng)
+                    classes.append(x)
+            for x in classes:
+                assert eichler_invariants(ctx, x) == parent.eichler_invariants(L, x), (n, x)
+            checked += len(classes)
+        assert checked >= 10_000, checked
+
+    @pytest.mark.parametrize(
+        "coords, message",
+        [
+            (basis(23, {0: 2, 22: 2}), "orbit invariants take primitive classes"),
+            ((0,) * 23, "orbit invariants take primitive classes"),
+            ((1, 0, 0), "vector length does not match lattice rank"),
+        ],
+    )
+    def test_same_input_errors(self, coords, message):
+        ctx = make_context(4)
+        for f, lattice in ((eichler_invariants, ctx), (parent.eichler_invariants, ctx.ambient)):
+            with pytest.raises(InputError, match=f"^{message}$"):
+                f(lattice, coords)
 
 
 TRANSVECTIONS = json.loads(
@@ -918,8 +971,8 @@ class TestOneConditionOracle:
         for n in range(2, 16):
             ctx = make_context(n)
             for t, D in orbit_witnesses(ctx):
-                inv = eichler_invariants(ctx.ambient, D)
-                flip = eichler_invariants(ctx.ambient, tuple(-x for x in D.coords))
+                inv = eichler_invariants(ctx, D)
+                flip = eichler_invariants(ctx, tuple(-x for x in D.coords))
                 assert (inv.square, inv.div) == (t.square, t.div)
                 orbits.add((n, min(inv.disc, flip.disc), t))
                 wall = wall_test(ctx, D) is not None
@@ -955,8 +1008,9 @@ class TestWallOrbits:
         assert certified_wall_orbits(ctx) == certified_wall_types(ctx)
 
     def test_every_orbit_verdict_is_listed(self):
+        # n = 16 is the first with an orbit at c = (div - 1) / 2
         flagged = []
-        for n in range(2, 16):
+        for n in range(2, 21):
             ctx = make_context(n)
             listed = certified_wall_orbits(ctx)
             assert [t for t in listed if t.orbit is None] == list(certified_wall_types(ctx))
@@ -971,7 +1025,10 @@ class TestWallOrbits:
             split = [(n, *k) for k, vs in verdicts.items() if len(set(vs)) > 1]
             assert sorted((n, t.square, t.div) for t in listed if t.orbit is not None) == sorted(split)
             flagged += split
-        assert [n for n, _, _ in flagged] == [7, 9] + [11] * 3 + [13] * 5 + [15] * 6
+        assert [n for n, _, _ in flagged] == (
+            [7, 9] + [11] * 3 + [13] * 5 + [15] * 6 + [16] * 8 + [17] * 6 + [19] * 10
+        )
+        assert WallType(-1020, 15, 7) in certified_wall_orbits(make_context(16))
 
     @pytest.mark.parametrize("n", [7, 9, 11])
     def test_chamber_lookup_reads_the_orbit(self, n):

@@ -22,11 +22,11 @@ GOLDEN = GOLDEN_DIR / "wall_test_json.json"
 
 
 def call(argv):
-    """(exit code, stdout) of one in-process CLI call."""
+    """(exit code, stdout) of one in-process CLI call; stderr is dropped."""
     from wallkit import cli
 
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(list(argv))
     return code, out.getvalue()
 
@@ -51,40 +51,47 @@ def argvs():
     return out
 
 
-def load():
-    return json.loads(GOLDEN.read_text(encoding="utf-8"))["calls"]
+NOTE = (
+    "argv, exit code and stdout of `wallkit wall-test --format json` for every "
+    "enumerate_wall_types row of n = 2..10 and every transvected class of wall_tests.json."
+)
 
 
-def record():
+def load(golden=GOLDEN):
+    return json.loads(golden.read_text(encoding="utf-8"))["calls"]
+
+
+def record(golden, argv_list, note):
     calls = []
-    for argv in argvs():
+    for argv in argv_list:
         code, stdout = call(argv)
         calls.append({"argv": argv, "exit": code, "stdout": stdout})
     lines = ",\n".join("    " + json.dumps(c, separators=(",", ":")) for c in calls)
-    note = (
-        "argv, exit code and stdout of `wallkit wall-test --format json` for every "
-        "enumerate_wall_types row of n = 2..10 and every transvected class of wall_tests.json."
-    )
-    GOLDEN.write_text(
+    golden.write_text(
         '{\n  "note": ' + json.dumps(note) + ',\n  "calls": [\n' + lines + "\n  ]\n}\n",
         encoding="utf-8",
     )
     return len(calls)
 
 
-def check() -> int:
-    calls = load()
+def check(golden, command) -> int:
+    calls = load(golden)
     for c in calls:
         got = call(c["argv"])
         if got != (c["exit"], c["stdout"]):
             print(f"mismatch: {c['argv']}\nexit {got[0]} (golden {c['exit']})", file=sys.stderr)
             return 1
-    print(f"{len(calls)} wall-test calls match {GOLDEN.name}")
+    print(f"{len(calls)} {command} calls match {golden.name}")
     return 0
 
 
-if __name__ == "__main__":
+def main(golden, argvs, note, command):
+    """Record with --record, else check; the exit status of the script."""
     if sys.argv[1:] == ["--record"]:
-        print(f"recorded {record()} calls")
-    else:
-        sys.exit(check())
+        print(f"recorded {record(golden, argvs(), note)} calls")
+        return 0
+    return check(golden, command)
+
+
+if __name__ == "__main__":
+    sys.exit(main(GOLDEN, argvs, NOTE, "wall-test"))
